@@ -110,7 +110,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> 
         let path = entry?.path();
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if path.is_dir() {
-            if !SKIP_DIRS.contains(&name) && !name.starts_with('.') {
+            if !SKIP_DIRS.contains(&name) && !name.starts_with('.') && !is_own_workspace(&path) {
                 walk(root, &path, out)?;
             }
         } else if name.ends_with(".rs") {
@@ -121,6 +121,15 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> 
         }
     }
     Ok(())
+}
+
+/// Whether `dir` roots a Cargo workspace of its own (its manifest has a
+/// `[workspace]` table), like the benchmark harness: Cargo keeps such a
+/// tree out of this workspace, so its sources are not ours to lint and
+/// its items are not this workspace's call graph.
+fn is_own_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
 }
 
 /// The lib-ident of the crate owning a workspace-relative path:
@@ -302,6 +311,10 @@ mod tests {
         assert!(
             !sources.iter().any(|p| p.starts_with("vendor")),
             "vendored code is not ours to lint"
+        );
+        assert!(
+            !sources.iter().any(|p| p.starts_with("xpsbench")),
+            "a nested Cargo workspace is not part of this one"
         );
         let mut sorted = sources.clone();
         sorted.sort();

@@ -8,8 +8,8 @@ use crate::error::PipelineError;
 use serde::{Deserialize, Serialize};
 use xps_communal::CrossPerfMatrix;
 use xps_explore::{
-    merge_counts, resolve_jobs, CacheCounters, Campaign, CustomizedCore, EvalCache, ExploreOptions,
-    ProgressSink, RecoveryStats, RunContext,
+    merge_counts, resolve_jobs, CacheCounters, Campaign, CustomizedCore, EvalCache, EvalCell,
+    ExploreOptions, ProgressSink, RecoveryStats, RunContext,
 };
 use xps_sim::CoreConfig;
 use xps_workload::WorkloadProfile;
@@ -102,11 +102,6 @@ pub struct PipelineResult {
     pub stats: PipelineStats,
 }
 
-/// Measure the IPT of `profile` on `config` over `ops` micro-ops.
-pub fn measure(profile: &WorkloadProfile, config: &CoreConfig, ops: u64) -> f64 {
-    xps_sim::evaluate(profile, config, ops).ipt()
-}
-
 /// Build a cross-configuration matrix by simulating every workload on
 /// every configuration, applying the paper's replacement rule until
 /// the diagonal dominates (or the pass budget runs out).
@@ -120,8 +115,9 @@ pub fn cross_matrix(
 }
 
 /// [`cross_matrix`] with the cell measurements fanned out over `jobs`
-/// workers (0 = available parallelism) and optionally memoized in
-/// `cache`. Returns the matrix plus the per-worker task counts.
+/// workers (0 = available parallelism) as lock-step rows, memoized in
+/// `cache` (or, without one, in a cache private to the call). Returns
+/// the matrix plus the per-worker task counts.
 ///
 /// Cells are pure functions of `(profile, config, ops)` and are merged
 /// in row-major order, so the matrix is bit-identical for any worker
@@ -176,28 +172,37 @@ pub fn cross_matrix_recoverable(
         )));
     }
     let n = profiles.len();
-    let cell = |w: usize, cfg: &CoreConfig| match cache {
-        Some(cache) => cache.ipt(&profiles[w], cfg, ops),
-        None => measure(&profiles[w], cfg, ops),
+    let local;
+    let cache = match cache {
+        Some(cache) => cache,
+        None => {
+            local = EvalCache::new();
+            &local
+        }
     };
-    let unwrap_cell = |item: Result<f64, xps_explore::TaskError>| match item {
-        Ok(v) => v,
+    fn cell<'a>(
+        profile: &'a WorkloadProfile,
+        config: &'a CoreConfig,
+        ops: u64,
+    ) -> Option<EvalCell<'a>> {
+        Some(EvalCell {
+            profile,
+            config,
+            ops,
+        })
+    }
+    let unwrap_cell = |item: Result<Option<f64>, xps_explore::TaskError>| match item {
+        Ok(Some(v)) => v,
         // Already recorded in the context's failed-task list; degrade.
-        Err(_) => FAILED_CELL_IPT,
+        _ => FAILED_CELL_IPT,
     };
     let mut per_worker_tasks = Vec::new();
     let mut ipt = vec![vec![0.0f64; n]; n];
-    // Each cell's wire description: pure (profile, config, ops), so a
-    // dispatched cell is bit-identical to the local measurement.
-    let describe = |w: usize, cfg: &CoreConfig| xps_explore::TaskSpec::eval(&profiles[w], cfg, ops);
     let fill_phase = xps_trace::span("matrix.fill");
-    let fan = ctx.run_fan_tasks(
-        jobs,
-        "matrix",
-        n * n,
-        |t| Some(describe(t / n, &configs[t % n])),
-        |t| cell(t / n, &configs[t % n]),
-    )?;
+    let cells: Vec<_> = (0..n * n)
+        .map(|t| cell(&profiles[t / n], &configs[t % n], ops))
+        .collect();
+    let fan = ctx.run_eval_fan(jobs, "matrix", &cells, cache)?;
     fill_phase.end_with(|| xps_trace::attr("cells", n * n));
     merge_counts(&mut per_worker_tasks, &fan.per_worker);
     for (t, item) in fan.items.into_iter().enumerate() {
@@ -229,25 +234,11 @@ pub fn cross_matrix_recoverable(
                         ("from", profiles[best].name.as_str().into()),
                     ])
                 });
-                let fan = ctx.run_fan_tasks(
-                    jobs,
-                    "rematrix",
-                    2 * n,
-                    |t| {
-                        Some(if t < n {
-                            describe(w, &configs[t])
-                        } else {
-                            describe(t - n, &configs[w])
-                        })
-                    },
-                    |t| {
-                        if t < n {
-                            cell(w, &configs[t])
-                        } else {
-                            cell(t - n, &configs[w])
-                        }
-                    },
-                )?;
+                let cells: Vec<_> = (0..n)
+                    .map(|t| cell(&profiles[w], &configs[t], ops))
+                    .chain((0..n).map(|t| cell(&profiles[t], &configs[w], ops)))
+                    .collect();
+                let fan = ctx.run_eval_fan(jobs, "rematrix", &cells, cache)?;
                 merge_counts(&mut per_worker_tasks, &fan.per_worker);
                 for (t, item) in fan.items.into_iter().enumerate() {
                     let v = unwrap_cell(item);

@@ -8,11 +8,21 @@
 //!   reproduces the identical bytes;
 //! * a permanently failing task degrades the run instead of aborting
 //!   it, and is reported by name.
+//!
+//! The `batched_*` cases repeat these guarantees with matrix cells past
+//! the replay cache, where the matrix fans run lock-step batches over
+//! streamed traces.
 
 use std::path::PathBuf;
-use xps_core::explore::{FaultKind, FaultPlan, Journal, RunContext};
-use xps_core::pipeline::{Pipeline, PipelineResult};
-use xps_core::workload::{spec, WorkloadProfile};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use xps_core::explore::{
+    EvalCache, ExploreError, FaultKind, FaultPlan, Journal, ProgressEvent, ProgressSink, RunContext,
+};
+use xps_core::pipeline::{cross_matrix_recoverable, Pipeline, PipelineResult};
+use xps_core::sim::CoreConfig;
+use xps_core::workload::{spec, WorkloadProfile, REPLAY_CACHE_MAX_OPS};
+use xps_core::PipelineError;
 
 fn profiles() -> Vec<WorkloadProfile> {
     ["gzip", "mcf", "crafty"]
@@ -31,6 +41,15 @@ fn mini(jobs: usize) -> Pipeline {
     p.explore.reanneal_iterations = 8;
     p.explore.jobs = jobs;
     p.matrix_ops = 20_000;
+    p
+}
+
+/// [`mini`] with matrix cells too long for the replay cache, so every
+/// matrix and rematrix batch streams its trace in lock-step.
+fn mini_streamed(jobs: usize) -> Pipeline {
+    let mut p = mini(jobs);
+    p.matrix_ops = 70_000;
+    assert!(p.matrix_ops > REPLAY_CACHE_MAX_OPS);
     p
 }
 
@@ -148,6 +167,141 @@ fn permanent_matrix_failures_degrade_and_are_reported() {
                 xps_core::FAILED_CELL_IPT,
                 "failed cells must carry the sentinel"
             );
+        }
+    }
+}
+
+#[test]
+fn batched_matrix_under_transient_faults_is_byte_identical() {
+    let p = profiles();
+    let clean = mini_streamed(1)
+        .run_recoverable(&p, &RunContext::new())
+        .expect("clean run");
+    let ctx = RunContext::new()
+        .with_faults(FaultPlan::rate(20, 7, 1, FaultKind::Panic))
+        .with_retries(2);
+    let faulted = mini_streamed(2)
+        .run_recoverable(&p, &ctx)
+        .expect("faulted run");
+    let rec = &faulted.stats.recovery;
+    assert!(rec.faults_injected > 0, "the plan must actually fire");
+    assert!(rec.failed_tasks.is_empty());
+    assert_eq!(
+        deliverable(&faulted),
+        deliverable(&clean),
+        "batched cells that fault and retry alone must not move a byte"
+    );
+}
+
+#[test]
+fn batched_matrix_killed_mid_fill_resumes_without_resimulating() {
+    let p = profiles();
+    let path = tmp("batched-resume");
+
+    // The reference: an uninterrupted journaled run.
+    let mut ctx = RunContext::new().with_journal(Journal::create(&path).expect("create"));
+    let full = mini_streamed(2)
+        .run_recoverable(&p, &ctx)
+        .expect("full run");
+    let total = ctx.stats().executed;
+    drop(ctx.take_journal());
+
+    // Kill mid-fill: cancel once two matrix cells have completed.
+    // Batches already running finish and journal their cells; nothing
+    // after them starts.
+    let cancel = Arc::new(AtomicBool::new(false));
+    let cells_done = Arc::new(AtomicUsize::new(0));
+    let sink = {
+        let (cancel, cells_done) = (cancel.clone(), cells_done.clone());
+        ProgressSink::new(move |e| {
+            if let ProgressEvent::TaskDone { key, .. } = e {
+                if key.starts_with("matrix#") && cells_done.fetch_add(1, Ordering::SeqCst) >= 1 {
+                    cancel.store(true, Ordering::SeqCst);
+                }
+            }
+        })
+    };
+    let mut ctx = RunContext::new()
+        .with_journal(Journal::create(&path).expect("create"))
+        .with_cancel(cancel)
+        .with_observer(sink);
+    let err = mini_streamed(2)
+        .run_recoverable(&p, &ctx)
+        .expect_err("killed mid-fill");
+    assert!(
+        matches!(err, PipelineError::Explore(ExploreError::Cancelled)),
+        "{err}"
+    );
+    let journaled = ctx.stats().executed;
+    drop(ctx.take_journal());
+    let text = std::fs::read_to_string(&path).expect("journal readable");
+    let matrix_cells = text.lines().filter(|l| l.contains("matrix#")).count();
+    assert_eq!(
+        text.lines().count() as u64,
+        journaled,
+        "one record per cell"
+    );
+    assert!(
+        (2..p.len() * p.len()).contains(&matrix_cells),
+        "the kill landed mid-fill ({matrix_cells} cells journaled)"
+    );
+
+    // Resume: every journaled task is salvaged, only the rest execute.
+    let ctx = RunContext::new().with_journal(Journal::open(&path).expect("open"));
+    let resumed = mini_streamed(2)
+        .run_recoverable(&p, &ctx)
+        .expect("resumed run");
+    let rec = ctx.stats();
+    assert_eq!(rec.salvaged, journaled, "salvage exactly the journal");
+    assert_eq!(
+        rec.executed,
+        total - journaled,
+        "no journaled cell is simulated again"
+    );
+    assert_eq!(deliverable(&resumed), deliverable(&full));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn batched_matrix_permanent_failure_degrades_only_its_cell() {
+    let p = profiles();
+    let configs: Vec<CoreConfig> = [(2, 64), (4, 128), (6, 256)]
+        .iter()
+        .zip(&p)
+        .map(|(&(width, rob), profile)| CoreConfig {
+            name: profile.name.clone(),
+            width,
+            rob_size: rob,
+            ..CoreConfig::initial()
+        })
+        .collect();
+    let matrix = |ctx: &RunContext| {
+        let mut configs = configs.clone();
+        let (m, _) =
+            cross_matrix_recoverable(&p, &mut configs, 70_000, 0, 1, Some(&EvalCache::new()), ctx)
+                .expect("matrix completes");
+        m
+    };
+    let clean = matrix(&RunContext::new());
+    // Cell 3 is (mcf, gzip's core): its row-mates 4 and 5 still run as
+    // one lock-step batch.
+    let ctx = RunContext::new()
+        .with_faults(FaultPlan::targets(
+            ["matrix#0/3"],
+            u32::MAX,
+            FaultKind::Panic,
+        ))
+        .with_retries(1);
+    let degraded = matrix(&ctx);
+    assert_eq!(ctx.stats().failed_tasks, vec!["matrix#0/3".to_string()]);
+    for w in 0..p.len() {
+        for c in 0..p.len() {
+            let want = if (w, c) == (1, 0) {
+                xps_core::FAILED_CELL_IPT
+            } else {
+                clean.ipt(w, c)
+            };
+            assert_eq!(degraded.ipt(w, c), want, "cell ({w}, {c})");
         }
     }
 }

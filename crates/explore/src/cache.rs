@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize};
-use xps_sim::{ConfigKey, CoreConfig, SimStats};
+use xps_sim::{ConfigKey, CoreConfig, SimStats, Simulator};
 use xps_workload::WorkloadProfile;
 
 const SHARDS: usize = 64;
@@ -90,41 +90,122 @@ impl EvalCache {
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
-    /// Simulate `profile` on `cfg` for `ops` micro-ops, or return the
-    /// memoized result of an identical earlier evaluation.
-    pub fn stats(&self, profile: &WorkloadProfile, cfg: &CoreConfig, ops: u64) -> SimStats {
-        let key = EvalKey {
+    fn key(profile: &WorkloadProfile, cfg: &CoreConfig, ops: u64) -> EvalKey {
+        EvalKey {
             profile_fp: profile.fingerprint(),
             cfg: cfg.canonical_key(),
             ops,
-        };
+        }
+    }
+
+    /// Record one lookup of `key` and answer it from the cache. A
+    /// `pending` key is already being simulated by an earlier cell of
+    /// the same batch: it counts as a hit and is answered from that
+    /// cell.
+    fn probe(&self, key: &EvalKey, pending: bool) -> Option<SimStats> {
         // The *lookup* is deterministic per task (how many evaluations
         // a walk asks for never depends on scheduling), so it may live
         // in the trace journal; whether it *hits* depends on which
         // racing worker populated the shared cache first, so the
-        // outcome below is recorded volatile-only.
-        xps_trace::instant("cache.lookup", || xps_trace::attr("ops", ops));
-        let shard = self.shard(&key);
-        if let Some(stats) = shard
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
+        // outcome is recorded volatile-only.
+        xps_trace::instant("cache.lookup", || xps_trace::attr("ops", key.ops));
+        let found = if pending {
+            None
+        } else {
+            self.shard(key)
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(key)
+                .cloned()
+        };
+        if pending || found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             xps_trace::instant_volatile("cache.hit", xps_trace::Attrs::new);
-            return stats.clone();
+        } else {
+            xps_trace::instant_volatile("cache.miss", xps_trace::Attrs::new);
         }
-        // Simulate outside the lock; if two workers race on the same
-        // key they both compute the same value and one insert wins.
-        xps_trace::instant_volatile("cache.miss", xps_trace::Attrs::new);
-        let stats = xps_sim::evaluate(profile, cfg, ops);
+        found
+    }
+
+    /// Store a freshly simulated result. Simulation runs outside every
+    /// lock; if two workers race on the same key they both compute the
+    /// same value and one insert wins.
+    fn fill(&self, key: EvalKey, stats: &SimStats) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        shard
+        self.shard(&key)
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .entry(key)
             .or_insert_with(|| stats.clone());
+    }
+
+    /// Simulate `profile` on `cfg` for `ops` micro-ops, or return the
+    /// memoized result of an identical earlier evaluation.
+    pub fn stats(&self, profile: &WorkloadProfile, cfg: &CoreConfig, ops: u64) -> SimStats {
+        let key = EvalCache::key(profile, cfg, ops);
+        if let Some(stats) = self.probe(&key, false) {
+            return stats;
+        }
+        let stats = xps_sim::evaluate(profile, cfg, ops);
+        self.fill(key, &stats);
         stats
+    }
+
+    /// [`stats`](EvalCache::stats) for many configurations of one
+    /// workload at once, in order. Each configuration is looked up as
+    /// by `stats`; the misses are simulated together in lock-step
+    /// ([`xps_sim::run_lockstep`]), so their shared trace is produced
+    /// once for the batch. A configuration repeated within the batch
+    /// (by canonical key) is simulated once and served to the repeat as
+    /// a hit, as a serial sequence of `stats` calls would. Every trace
+    /// event of configuration `k` — its lookup, hit or miss, and
+    /// simulator close — is recorded inside `in_cell(k, ..)`, so a
+    /// batched fan can file each cell's events under the cell's own
+    /// task track.
+    pub(crate) fn stats_batch(
+        &self,
+        profile: &WorkloadProfile,
+        configs: &[&CoreConfig],
+        ops: u64,
+        in_cell: &mut dyn FnMut(usize, &mut dyn FnMut()),
+    ) -> Vec<SimStats> {
+        let keys: Vec<EvalKey> = configs
+            .iter()
+            .map(|cfg| EvalCache::key(profile, cfg, ops))
+            .collect();
+        let mut found: Vec<Option<SimStats>> = vec![None; configs.len()];
+        // `source[k]`: the cell whose result answers cell k — itself,
+        // or the batch's first miss with the same key.
+        let mut source: Vec<usize> = (0..configs.len()).collect();
+        let mut misses: Vec<usize> = Vec::new();
+        for k in 0..configs.len() {
+            let pending = misses.iter().copied().find(|&m| keys[m] == keys[k]);
+            in_cell(k, &mut || {
+                found[k] = self.probe(&keys[k], pending.is_some())
+            });
+            match pending {
+                Some(m) => source[k] = m,
+                None if found[k].is_none() => misses.push(k),
+                None => {}
+            }
+        }
+        let mut sims: Vec<Simulator> = misses.iter().map(|&k| Simulator::new(configs[k])).collect();
+        xps_sim::run_lockstep(profile, &mut sims, ops);
+        for (&k, sim) in misses.iter().zip(sims) {
+            let mut sim = Some(sim);
+            in_cell(k, &mut || found[k] = sim.take().map(Simulator::finish));
+            if let Some(stats) = &found[k] {
+                self.fill(keys[k], stats);
+            }
+        }
+        source
+            .iter()
+            .map(|&m| {
+                found[m]
+                    .clone()
+                    .unwrap_or_else(|| unreachable!("every cell is found or simulated"))
+            })
+            .collect()
     }
 
     /// Memoized IPT (instructions per nanosecond) of `cfg` on `profile`.
@@ -212,6 +293,25 @@ mod tests {
         let c = cache.counters();
         assert_eq!(c.hits + c.misses, 5);
         assert_eq!(c.misses, 1);
+    }
+
+    #[test]
+    fn batch_matches_single_lookups_and_serves_repeats_as_hits() {
+        let cache = EvalCache::new();
+        let p = spec::profile("gcc").expect("gcc exists");
+        let base = CoreConfig::initial();
+        let mut wide = base.clone();
+        wide.width += 1;
+        let mut renamed = base.clone();
+        renamed.name = "gcc-custom".to_string();
+        let fresh = |cfg: &CoreConfig| Simulator::new(cfg).run(TraceGenerator::new(p.clone()), OPS);
+        cache.stats(&p, &wide, OPS);
+        let got = cache.stats_batch(&p, &[&base, &wide, &renamed], OPS, &mut |_, f| f());
+        assert_eq!(got, vec![fresh(&base), fresh(&wide), fresh(&base)]);
+        // `wide` was cached and `renamed` repeats `base`: two hits; the
+        // batch simulated `base` alone.
+        assert_eq!(cache.counters(), CacheCounters { hits: 2, misses: 2 });
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

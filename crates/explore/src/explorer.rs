@@ -6,7 +6,7 @@ use crate::cache::{CacheCounters, EvalCache};
 use crate::error::{ExploreError, TaskError};
 use crate::parallel::{merge_counts, resolve_jobs};
 use crate::point::DesignPoint;
-use crate::recovery::{RecoveryStats, RunContext};
+use crate::recovery::{EvalCell, RecoveryStats, RunContext};
 use serde::{Deserialize, Serialize};
 use xps_cacti::Technology;
 use xps_sim::CoreConfig;
@@ -351,36 +351,17 @@ impl Campaign {
                 // Evaluate workload i on every other best config, in
                 // parallel. Configurations adopted earlier in this
                 // round are visible here, exactly as in a serial sweep.
-                let cross = ctx.run_fan_tasks(
-                    self.opts.jobs,
-                    "seed",
-                    results.len(),
-                    |j| {
-                        // The diagonal (i == j) is a constant `None`
-                        // cell — nothing to run remotely. A worker's
-                        // bare-f64 response deserializes into
-                        // `Option<f64>` as `Some`, matching the local
-                        // closure's value.
-                        (i != j).then(|| {
-                            crate::task::TaskSpec::eval(
-                                &profiles[i],
-                                &results[j].config,
-                                self.opts.anneal.eval_ops_late,
-                            )
+                // The diagonal (i == j) is a constant `None` cell.
+                let cells: Vec<_> = (0..results.len())
+                    .map(|j| {
+                        (i != j).then(|| EvalCell {
+                            profile: &profiles[i],
+                            config: &results[j].config,
+                            ops: self.opts.anneal.eval_ops_late,
                         })
-                    },
-                    |j| {
-                        if i == j {
-                            None
-                        } else {
-                            Some(cache.ipt(
-                                &profiles[i],
-                                &results[j].config,
-                                self.opts.anneal.eval_ops_late,
-                            ))
-                        }
-                    },
-                )?;
+                    })
+                    .collect();
+                let cross = ctx.run_eval_fan(self.opts.jobs, "seed", &cells, cache)?;
                 merge_counts(&mut per_worker_tasks, &cross.per_worker);
                 let mut best_foreign: Option<(usize, f64)> = None;
                 for (j, item) in cross.items.into_iter().enumerate() {

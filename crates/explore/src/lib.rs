@@ -74,7 +74,7 @@ pub use grid::{grid_search, grid_search_with, GridResult, GridSpec};
 pub use journal::{fnv64, write_atomic, Journal, JournalError};
 pub use parallel::{merge_counts, resolve_jobs, run_parallel, ParallelRun};
 pub use point::DesignPoint;
-pub use recovery::{FanOutcome, RecoveryStats, RunContext, DEFAULT_RETRIES};
+pub use recovery::{EvalCell, FanOutcome, RecoveryStats, RunContext, DEFAULT_RETRIES};
 pub use search::{
     crossover, explorer_by_name, mutate, search, AnnealExplorer, CurvePoint, EvalBudget, Explorer,
     GeneticExplorer, Probe, SearchOptions, SearchOutcome, SurrogateExplorer, EXPLORER_NAMES,

@@ -46,12 +46,29 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    run_parallel_weighted(jobs, n, |_| 1, f)
+}
+
+/// [`run_parallel`] over items of unequal size: worker `w`'s
+/// `per_worker` entry sums `weight(i)` over the items it ran, so a
+/// fan of batches still reports the tasks it covered.
+pub(crate) fn run_parallel_weighted<T, F, W>(
+    jobs: usize,
+    n: usize,
+    weight: W,
+    f: F,
+) -> ParallelRun<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+    W: Fn(usize) -> u64,
+{
     let workers = resolve_jobs(jobs).min(n.max(1));
     if workers <= 1 {
         let results: Vec<T> = (0..n).map(&f).collect();
         return ParallelRun {
             results,
-            per_worker: vec![n as u64],
+            per_worker: vec![(0..n).map(&weight).sum()],
         };
     }
 
@@ -86,8 +103,8 @@ where
                 Ok(mine) => mine,
                 Err(payload) => std::panic::resume_unwind(payload),
             };
-            per_worker[w] = mine.len() as u64;
             for (i, value) in mine {
+                per_worker[w] += weight(i);
                 slots[i] = Some(value);
             }
         }

@@ -21,16 +21,18 @@
 //! a resumed run asks for exactly the same keys in exactly the same
 //! order.
 
+use crate::cache::EvalCache;
 use crate::error::{ExploreError, TaskError, TaskFailure};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::journal::{Journal, JournalError};
-use crate::parallel::run_parallel;
+use crate::parallel::{resolve_jobs, run_parallel, run_parallel_weighted};
 use crate::task::{TaskDispatcher, TaskSpec};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use xps_trace::{with_recorder, ProgressEvent, ProgressSink, TraceSink};
+use xps_trace::{with_recorder, ProgressEvent, ProgressSink, SpanRecorder, TraceSink};
+use xps_workload::WorkloadProfile;
 
 /// Default retry budget: a task may fail twice and still succeed on
 /// its third attempt before being declared failed.
@@ -64,6 +66,22 @@ pub struct FanOutcome<T> {
     /// How many items each worker ran (journal-salvaged items are not
     /// counted — they never reached the pool).
     pub per_worker: Vec<u64>,
+}
+
+/// A fan's per-item results while it runs: `None` until item `i` is
+/// salvaged or has run.
+type Slots<T> = Vec<Option<Result<T, TaskError>>>;
+
+/// One cell of an evaluation fan ([`RunContext::run_eval_fan`]): the
+/// IPT of `config` on `profile` over `ops` micro-ops.
+#[derive(Debug, Clone, Copy)]
+pub struct EvalCell<'a> {
+    /// The workload.
+    pub profile: &'a WorkloadProfile,
+    /// The configuration it runs on.
+    pub config: &'a xps_sim::CoreConfig,
+    /// Trace length in micro-ops.
+    pub ops: u64,
 }
 
 /// Crash-safety context threaded through an exploration run: the
@@ -293,85 +311,272 @@ impl RunContext {
         F: Fn(usize) -> T + Sync,
         D: Fn(usize) -> Option<TaskSpec> + Sync,
     {
+        let (key_of, mut slots, missing) = self.open_fan(label, n)?;
+        let run = run_parallel(jobs, missing.len(), |k| {
+            self.run_item(&key_of(missing[k]), missing[k], &describe, &f)
+        });
+        for (k, result) in run.results.into_iter().enumerate() {
+            slots[missing[k]] = Some(result);
+        }
+        self.close_fan(slots, run.per_worker)
+    }
+
+    /// A fan of IPT measurements, one item per cell: a `None`
+    /// cell is a constant `None` item (the cross-seeding diagonal), a
+    /// `Some` cell measures its configuration on its workload through
+    /// `cache`. Item for item this is the
+    /// [`run_fan_tasks`](RunContext::run_fan_tasks) fan of
+    /// `TaskSpec::eval` descriptions over `cache.ipt` closures — same
+    /// journal keys and records, dispatch, fault-injection attempts,
+    /// retries and per-cell trace events — but the cells that run
+    /// locally are grouped by workload and trace length, and each group
+    /// is split into about one lock-step batch per worker (looked up
+    /// and simulated by `EvalCache::stats_batch`), so a trace is
+    /// produced once per batch instead of once per cell.
+    ///
+    /// A cell runs alone, exactly as in `run_fan_tasks`, when a
+    /// dispatcher is attached (every cell is offered to it), when the
+    /// fault plan injects into its first attempt, or when its batch
+    /// panics (every cell of the batch then re-runs on its own,
+    /// starting from its first attempt).
+    ///
+    /// # Errors
+    ///
+    /// As [`run_fan`](RunContext::run_fan): only journal problems.
+    pub fn run_eval_fan(
+        &self,
+        jobs: usize,
+        label: &str,
+        cells: &[Option<EvalCell<'_>>],
+        cache: &EvalCache,
+    ) -> Result<FanOutcome<Option<f64>>, ExploreError> {
+        let describe = |i: usize| cells[i].map(|c| TaskSpec::eval(c.profile, c.config, c.ops));
+        let single = |i: usize| cells[i].map(|c| cache.ipt(c.profile, c.config, c.ops));
+        let (key_of, mut slots, missing) = self.open_fan(label, cells.len())?;
+        let units = self.plan_batches(jobs, cells, &missing, &key_of);
+        let run = run_parallel_weighted(
+            jobs,
+            units.len(),
+            |u| units[u].len() as u64,
+            |u| {
+                let unit = &units[u];
+                self.run_batch(unit, cells, &key_of, cache)
+                    .unwrap_or_else(|| {
+                        unit.iter()
+                            .map(|&i| self.run_item(&key_of(i), i, &describe, &single))
+                            .collect()
+                    })
+            },
+        );
+        for (unit, results) in units.iter().zip(run.results) {
+            for (&i, result) in unit.iter().zip(results) {
+                slots[i] = Some(result);
+            }
+        }
+        self.close_fan(slots, run.per_worker)
+    }
+
+    /// Partition the `missing` cells of an evaluation fan into units of
+    /// work, in cell order: lock-step batches of cells that share a
+    /// workload and trace length, and single cells (see
+    /// [`run_eval_fan`](RunContext::run_eval_fan) for which run alone).
+    /// A group of `g` batchable cells is split into `min(workers, g)`
+    /// near-equal batches, so one long row still occupies every worker.
+    fn plan_batches(
+        &self,
+        jobs: usize,
+        cells: &[Option<EvalCell<'_>>],
+        missing: &[usize],
+        key_of: &dyn Fn(usize) -> String,
+    ) -> Vec<Vec<usize>> {
+        let mut units: Vec<Vec<usize>> = Vec::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for &i in missing {
+            let batchable = cells[i].filter(|_| {
+                self.dispatcher.is_none()
+                    && self
+                        .faults
+                        .as_ref()
+                        .is_none_or(|p| p.injects(&key_of(i), 0).is_none())
+            });
+            let Some(cell) = batchable else {
+                units.push(vec![i]);
+                continue;
+            };
+            let group = groups.iter_mut().find(|g| {
+                cells[g[0]].is_some_and(|c| c.ops == cell.ops && c.profile == cell.profile)
+            });
+            match group {
+                Some(g) => g.push(i),
+                None => groups.push(vec![i]),
+            }
+        }
+        let workers = resolve_jobs(jobs);
+        for group in groups {
+            let size = group.len().div_ceil(workers.min(group.len()));
+            units.extend(group.chunks(size).map(<[usize]>::to_vec));
+        }
+        units.sort_by_key(|unit| unit[0]);
+        units
+    }
+
+    /// Run one planned unit as a single lock-step batch, with each
+    /// cell's bookkeeping — executed count, trace track, journal
+    /// record, progress event — exactly as a successful first attempt
+    /// of that cell would leave it. Returns `None` without side effects
+    /// on the run's outcome (a single cell, a cancelled run, or a
+    /// panicking batch), and the caller then runs the unit cell by
+    /// cell.
+    fn run_batch(
+        &self,
+        unit: &[usize],
+        cells: &[Option<EvalCell<'_>>],
+        key_of: &dyn Fn(usize) -> String,
+        cache: &EvalCache,
+    ) -> Option<Vec<Result<Option<f64>, TaskError>>> {
+        if unit.len() < 2 || self.cancelled() {
+            return None;
+        }
+        let batch: Vec<EvalCell<'_>> = unit.iter().map(|&i| cells[i]).collect::<Option<_>>()?;
+        let configs: Vec<&xps_sim::CoreConfig> = batch.iter().map(|c| c.config).collect();
+        let mut tracks: Vec<Option<SpanRecorder>> = unit
+            .iter()
+            .map(|_| self.trace.as_ref().map(TraceSink::recorder))
+            .collect();
+        // Cells are pure functions of their inputs: nothing observes a
+        // half-updated state after an unwind (the per-cell re-run
+        // starts afresh), so AssertUnwindSafe is sound here.
+        let stats = catch_unwind(AssertUnwindSafe(|| {
+            cache.stats_batch(
+                batch[0].profile,
+                &configs,
+                batch[0].ops,
+                &mut |k, f| match tracks[k].take() {
+                    Some(rec) => tracks[k] = Some(with_recorder(rec, f).0),
+                    None => f(),
+                },
+            )
+        }))
+        .ok()?;
+        let results = unit
+            .iter()
+            .zip(stats)
+            .zip(tracks)
+            .map(|((&i, stats), track)| {
+                let key = key_of(i);
+                self.executed.fetch_add(1, Ordering::Relaxed);
+                if let (Some(trace), Some(rec)) = (&self.trace, track) {
+                    trace.attach(&key, rec);
+                }
+                let result = Ok(Some(stats.ipt()));
+                self.record(key, &result);
+                result
+            })
+            .collect();
+        Some(results)
+    }
+
+    /// Open a fan: draw its sequence number and salvage every
+    /// journaled item. Returns the fan's key function, one slot per
+    /// item (salvaged ones filled), and the items still to run.
+    #[allow(clippy::type_complexity)]
+    fn open_fan<T: Deserialize>(
+        &self,
+        label: &str,
+        n: usize,
+    ) -> Result<(impl Fn(usize) -> String, Slots<T>, Vec<usize>), ExploreError> {
         let fan = self.fan_seq.fetch_add(1, Ordering::Relaxed);
-        let key_of = |i: usize| format!("{label}#{fan}/{i}");
+        let label = label.to_string();
+        let key_of = move |i: usize| format!("{label}#{fan}/{i}");
         if self.cancelled() {
             return Err(ExploreError::Cancelled);
         }
-        let mut slots: Vec<Option<Result<T, TaskError>>> = Vec::with_capacity(n);
+        let mut slots: Slots<T> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
         let mut missing: Vec<usize> = Vec::with_capacity(n);
-        if let Some(journal) = &self.journal {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                let key = key_of(i);
-                match journal.get(&key) {
-                    Some(json) => {
-                        let value: T =
-                            serde_json::from_str(&json).map_err(|e| JournalError::Corrupt {
-                                path: journal.path().to_path_buf(),
-                                line: 0,
-                                detail: format!("task `{key}` does not deserialize: {e}"),
-                            })?;
-                        self.salvaged.fetch_add(1, Ordering::Relaxed);
-                        // Salvages happen serially on the caller
-                        // thread, so this instant lands on the edge
-                        // recorder in deterministic order.
-                        xps_trace::instant("journal.salvage", || {
-                            xps_trace::attr("task", key.as_str())
-                        });
-                        if let Some(obs) = &self.observer {
-                            obs.emit(&ProgressEvent::TaskDone {
-                                key,
-                                salvaged: true,
-                            });
-                        }
-                        *slot = Some(Ok(value));
-                    }
-                    None => missing.push(i),
-                }
-            }
-        } else {
+        let Some(journal) = &self.journal else {
             missing.extend(0..n);
-        }
-
-        let mut per_worker = vec![0u64];
-        if !missing.is_empty() {
-            let run = run_parallel(jobs, missing.len(), |k| {
-                let i = missing[k];
-                let key = key_of(i);
-                let result = match self.dispatch_remote(&key, i, &describe) {
-                    Some(value) => Ok(value),
-                    None => self.run_local(&key, i, &f),
-                };
-                if let (Ok(value), Some(journal)) = (&result, &self.journal) {
-                    let json =
-                        // xps-allow(no-unwrap-in-lib): task results are plain data structs; serialization cannot fail
-                        serde_json::to_string(value).expect("task results serialize to JSON");
-                    if let Err(e) = journal.record(&key, json) {
-                        // Keep the computed value; surface the persist
-                        // failure once the fan completes.
-                        let mut slot = self
-                            .journal_error
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        slot.get_or_insert(e);
-                    }
-                }
-                if result.is_ok() {
+            return Ok((key_of, slots, missing));
+        };
+        for (i, slot) in slots.iter_mut().enumerate() {
+            let key = key_of(i);
+            match journal.get(&key) {
+                Some(json) => {
+                    let value: T =
+                        serde_json::from_str(&json).map_err(|e| JournalError::Corrupt {
+                            path: journal.path().to_path_buf(),
+                            line: 0,
+                            detail: format!("task `{key}` does not deserialize: {e}"),
+                        })?;
+                    self.salvaged.fetch_add(1, Ordering::Relaxed);
+                    // Salvages happen serially on the caller thread, so
+                    // this instant lands on the edge recorder in
+                    // deterministic order.
+                    xps_trace::instant("journal.salvage", || xps_trace::attr("task", key.as_str()));
                     if let Some(obs) = &self.observer {
                         obs.emit(&ProgressEvent::TaskDone {
                             key,
-                            salvaged: false,
+                            salvaged: true,
                         });
                     }
+                    *slot = Some(Ok(value));
                 }
-                result
-            });
-            per_worker = run.per_worker;
-            for (k, result) in run.results.into_iter().enumerate() {
-                slots[missing[k]] = Some(result);
+                None => missing.push(i),
             }
         }
+        Ok((key_of, slots, missing))
+    }
+
+    /// Run one fan item — remotely when a dispatcher takes it, locally
+    /// otherwise — and record its outcome.
+    fn run_item<T, F, D>(&self, key: &str, i: usize, describe: &D, f: &F) -> Result<T, TaskError>
+    where
+        T: Serialize + Deserialize,
+        F: Fn(usize) -> T,
+        D: Fn(usize) -> Option<TaskSpec>,
+    {
+        let result = match self.dispatch_remote(key, i, describe) {
+            Some(value) => Ok(value),
+            None => self.run_local(key, i, f),
+        };
+        self.record(key.to_string(), &result);
+        result
+    }
+
+    /// Journal a finished item's value and report it to the observer.
+    /// A persist failure keeps the computed value and is surfaced once
+    /// the fan completes.
+    fn record<T: Serialize>(&self, key: String, result: &Result<T, TaskError>) {
+        let Ok(value) = result else {
+            return;
+        };
+        if let Some(journal) = &self.journal {
+            let json =
+                // xps-allow(no-unwrap-in-lib): task results are plain data structs; serialization cannot fail
+                serde_json::to_string(value).expect("task results serialize to JSON");
+            if let Err(e) = journal.record(&key, json) {
+                let mut slot = self
+                    .journal_error
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                slot.get_or_insert(e);
+            }
+        }
+        if let Some(obs) = &self.observer {
+            obs.emit(&ProgressEvent::TaskDone {
+                key,
+                salvaged: false,
+            });
+        }
+    }
+
+    /// Close a fan: surface a journal failure or cancellation, else
+    /// return every item in order.
+    fn close_fan<T>(
+        &self,
+        slots: Slots<T>,
+        per_worker: Vec<u64>,
+    ) -> Result<FanOutcome<T>, ExploreError> {
         if let Some(e) = self
             .journal_error
             .lock()

@@ -326,6 +326,28 @@ fn bad_requests_and_unknown_jobs_get_typed_statuses() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A body of ~300k nested `[` is well under the body limit but far past
+/// any sane nesting depth: it must come back as a typed 400 on every
+/// endpoint that parses JSON, and the daemon must keep serving — the
+/// recursive parser used to overflow the connection thread's stack,
+/// which aborts the whole process.
+#[test]
+fn deeply_nested_body_is_rejected_and_the_daemon_survives() {
+    let dir = data_dir("nested");
+    let daemon = start(&dir);
+    let addr = daemon.addr.clone();
+    let hostile = "[".repeat(300_000);
+    assert!(hostile.len() < xps_serve::http::MAX_BODY);
+    for path in ["/jobs", "/tasks"] {
+        let resp = client::request(&addr, "POST", path, Some(&hostile)).expect("responds");
+        assert_eq!(resp.status, 400, "{path}: {}", resp.body);
+    }
+    let health = client::request(&addr, "GET", "/healthz", None).expect("still serving");
+    assert_eq!(health.status, 200);
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn queue_overflow_returns_429() {
     let dir = data_dir("backpressure");

@@ -328,36 +328,14 @@ impl Simulator {
     /// Run up to `max_ops` micro-ops of `trace` through the machine and
     /// return the measurements.
     pub fn run(mut self, trace: impl IntoIterator<Item = MicroOp>, max_ops: u64) -> SimStats {
-        // Consume the trace in chunks: generating a buffer of ops and
-        // then stepping them keeps each side's code and branch-history
-        // footprint resident instead of alternating generator and
-        // engine every op (~5% on the simulator bench). One buffer per
-        // run, no per-op allocation; op order is unchanged. The count
-        // is carried in u64 — `take(max_ops as usize)` would silently
-        // truncate a >4G-op budget on 32-bit targets.
-        const CHUNK: usize = 256;
-        let mut it = trace.into_iter();
-        let mut buf: Vec<MicroOp> = Vec::with_capacity(CHUNK);
-        let mut taken = 0u64;
-        'outer: loop {
-            buf.clear();
-            while (buf.len() as u64) < (max_ops - taken).min(CHUNK as u64) {
-                match it.next() {
-                    Some(op) => buf.push(op),
-                    None => break,
-                }
-            }
-            if buf.is_empty() {
-                break 'outer;
-            }
-            taken += buf.len() as u64;
-            for op in &buf {
-                self.step(op);
-            }
-            if taken >= max_ops {
-                break;
-            }
-        }
+        step_streamed(std::slice::from_mut(&mut self), trace.into_iter(), max_ops);
+        self.finish()
+    }
+
+    /// Close the run: report the measurements of every op stepped so
+    /// far (by [`Simulator::run`] or [`run_lockstep`]), and record the
+    /// run's `sim.run` trace event in the current thread's recorder.
+    pub fn finish(self) -> SimStats {
         // Volatile: whether a simulation *happened* depends on which
         // racing worker lost the shared-cache race, so this event is
         // profile-only and never journaled. The attribute list is
@@ -565,22 +543,107 @@ impl Simulator {
     }
 }
 
-/// Simulate `ops` micro-ops of `profile` on `cfg`.
+/// Micro-ops per lock-step chunk. Every simulator of a batch steps
+/// over one chunk before any moves on to the next, so a chunk is
+/// generated (or read from the replay cache) once and stays resident
+/// while the whole batch consumes it. Measured on 1M- and 400k-op
+/// streamed batches of 1, 5 and 11 configurations (DESIGN.md
+/// "Simulator hot path"): 512–4096 ops lie within a few percent of
+/// each other, 1024 (40 KiB of [`MicroOp`]s) was within 3% of the
+/// best at every batch size, and 16k–64k-op chunks, which fall out of
+/// the L2 before the last simulator reads them, were up to 25% slower.
+const LOCKSTEP_CHUNK: usize = 1024;
+
+/// Step every simulator of `sims` over `chunk`, one simulator at a
+/// time: the one stepping loop of every evaluation path.
+fn step_chunk(sims: &mut [Simulator], chunk: &[MicroOp]) {
+    for sim in sims {
+        for op in chunk {
+            sim.step(op);
+        }
+    }
+}
+
+/// Step `sims` in lock-step over the first `max_ops` micro-ops of
+/// `trace`, buffering one chunk at a time. The count is carried in
+/// u64 — `take(max_ops as usize)` would silently truncate a >4G-op
+/// budget on 32-bit targets.
+fn step_streamed(sims: &mut [Simulator], mut trace: impl Iterator<Item = MicroOp>, max_ops: u64) {
+    let mut buf: Vec<MicroOp> = Vec::with_capacity(LOCKSTEP_CHUNK);
+    let mut taken = 0u64;
+    while taken < max_ops {
+        buf.clear();
+        let want = (max_ops - taken).min(LOCKSTEP_CHUNK as u64) as usize;
+        buf.extend(trace.by_ref().take(want));
+        if buf.is_empty() {
+            break;
+        }
+        taken += buf.len() as u64;
+        step_chunk(sims, &buf);
+    }
+}
+
+/// Step `sims` in lock-step over the first `ops` micro-ops of
+/// `profile`'s trace: read from the per-thread replay cache when the
+/// trace fits ([`xps_workload::with_cached_trace`]), streamed from the
+/// pooled generator otherwise. Either way the trace is produced once
+/// for the whole batch, and memory beyond the simulators themselves
+/// is bounded by one chunk (streamed) or the cached trace (replayed).
 ///
-/// This is the standard evaluation entry point for exploration code:
-/// small op budgets replay a memoized per-thread trace
-/// ([`xps_workload::with_cached_trace`]) — the trace of a profile is
-/// identical for every configuration evaluated against it, so the
-/// generator's sampling work is paid once, not per design point —
-/// while budgets past the cache bound stream from a pooled generator.
-/// Both paths produce bit-identical [`SimStats`].
-pub fn evaluate(profile: &xps_workload::WorkloadProfile, cfg: &CoreConfig, ops: u64) -> SimStats {
+/// The building block of [`evaluate_batch`] for callers that close
+/// each simulator ([`Simulator::finish`]) in a scope of their own,
+/// such as a per-task trace recorder.
+pub fn run_lockstep(profile: &xps_workload::WorkloadProfile, sims: &mut [Simulator], ops: u64) {
+    if sims.is_empty() {
+        return;
+    }
     xps_workload::with_cached_trace(profile, ops, |trace| {
-        Simulator::new(cfg).run(trace.iter().copied(), ops)
+        for chunk in trace.chunks(LOCKSTEP_CHUNK) {
+            step_chunk(sims, chunk);
+        }
     })
-    .unwrap_or_else(|| {
-        xps_workload::with_generator(profile, |g| Simulator::new(cfg).run(&mut *g, ops))
-    })
+    .unwrap_or_else(|| xps_workload::with_generator(profile, |g| step_streamed(sims, g, ops)));
+}
+
+/// Simulate `ops` micro-ops of `profile` on `cfg`: the batch of one of
+/// [`evaluate_batch`].
+///
+/// This is the standard evaluation entry point for exploration code.
+/// Budgets up to [`xps_workload::REPLAY_CACHE_MAX_OPS`] replay a
+/// memoized per-thread trace — the trace of a profile is identical for
+/// every configuration evaluated against it, so the generator's
+/// sampling work is paid once, not per design point — while longer
+/// budgets stream from a pooled generator. Both paths produce
+/// bit-identical [`SimStats`].
+pub fn evaluate(profile: &xps_workload::WorkloadProfile, cfg: &CoreConfig, ops: u64) -> SimStats {
+    let mut sim = Simulator::new(cfg);
+    run_lockstep(profile, std::slice::from_mut(&mut sim), ops);
+    sim.finish()
+}
+
+/// Simulate `ops` micro-ops of `profile` on every configuration of
+/// `configs` at once, returning one [`SimStats`] per configuration in
+/// order — bit for bit what one [`evaluate`] call per configuration
+/// returns.
+///
+/// The simulators step in lock-step over fixed-size chunks of the
+/// trace, so the trace is generated (or replayed) once per batch
+/// instead of once per configuration; past the replay cache that
+/// divides the generator's share of the work by the batch size. Each
+/// simulator still records its own `sim.run` event. An empty batch
+/// touches no trace.
+///
+/// # Panics
+///
+/// Panics if any configuration fails [`CoreConfig::validate`].
+pub fn evaluate_batch(
+    profile: &xps_workload::WorkloadProfile,
+    configs: &[&CoreConfig],
+    ops: u64,
+) -> Vec<SimStats> {
+    let mut sims: Vec<Simulator> = configs.iter().map(|c| Simulator::new(c)).collect();
+    run_lockstep(profile, &mut sims, ops);
+    sims.into_iter().map(Simulator::finish).collect()
 }
 
 #[cfg(test)]

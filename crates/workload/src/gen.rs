@@ -526,6 +526,10 @@ pub fn with_generator<R>(profile: &WorkloadProfile, f: impl FnOnce(&mut TraceGen
 /// Largest single trace (in ops) the replay cache will materialize.
 /// Bigger requests stream through [`with_generator`] instead — a
 /// million-op campaign trace would hold tens of megabytes per thread.
+/// Past this bound, sharing a trace across configurations is the
+/// lock-step batch's job (`xps_sim::evaluate_batch`): it streams the
+/// trace once per batch, one small chunk at a time, instead of
+/// materializing it.
 pub const REPLAY_CACHE_MAX_OPS: u64 = 65_536;
 
 /// Total ops the per-thread replay cache holds across traces before
@@ -552,7 +556,9 @@ thread_local! {
 /// [`REPLAY_CACHE_MAX_OPS`]; callers fall back to streaming via
 /// [`with_generator`]. The cached trace is exactly the stream
 /// `TraceGenerator::new(profile)` yields, so results are bit-identical
-/// to streaming.
+/// to streaming. The simulator's lock-step batches read the slice in
+/// fixed-size chunks, every configuration of a batch per chunk, so a
+/// replayed trace is read from memory once per batch as well.
 pub fn with_cached_trace<R>(
     profile: &WorkloadProfile,
     ops: u64,
