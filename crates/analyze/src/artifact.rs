@@ -923,7 +923,7 @@ mod tests {
     /// journal is not mistaken for a task journal.
     #[test]
     fn real_repo_results_validate_clean() {
-        use xps_core::explore::{write_atomic, Journal, RunContext};
+        use xps_core::explore::{write_atomic, EvalCache, Journal, RunContext};
         use xps_core::trace::TraceSink;
 
         let dir = tmp("results");
@@ -936,7 +936,7 @@ mod tests {
             .with_journal(Journal::create(dir.join("journal.jsonl")).expect("journal"))
             .with_trace(trace.clone());
         let run = xps_core::Pipeline::quick()
-            .run_recoverable(&profiles, &ctx)
+            .run(&profiles, &EvalCache::new(), &ctx)
             .expect("quick pipeline");
         xps_bench::save_measured(&(run, true).into(), &dir.join("measured.json"))
             .expect("save measured");

@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xps_core::cacti::Technology;
-use xps_core::explore::{anneal, AnnealOptions, Campaign, DesignPoint, EvalCache, ExploreOptions};
+use xps_core::explore::{
+    anneal, AnnealOptions, Campaign, DesignPoint, EvalCache, ExploreOptions, RunContext,
+};
 use xps_core::sim::Simulator;
 use xps_core::workload::{spec, TraceGenerator};
 
@@ -29,7 +31,10 @@ fn quick_anneal(c: &mut Criterion) {
     let mut group = c.benchmark_group("explore");
     group.sample_size(10);
     group.bench_function("mini-anneal-20-iters", |b| {
-        b.iter(|| anneal(&p, &DesignPoint::initial(), &opts, &tech))
+        b.iter(|| {
+            let cache = EvalCache::new();
+            anneal(&p, &DesignPoint::initial(), &opts, &tech, &cache, None)
+        })
     });
     group.finish();
 }
@@ -53,8 +58,11 @@ fn parallel_explore(c: &mut Criterion) {
             opts.anneal.eval_ops_late = 8_000;
             opts.cross_rounds = 0;
             opts.jobs = jobs;
-            let explorer = Campaign::new(opts);
-            b.iter(|| explorer.explore(&profiles))
+            let explorer = Campaign::try_new(opts).expect("valid options");
+            b.iter(|| {
+                let ctx = RunContext::from_env().expect("valid XPS_FAULTS");
+                explorer.explore_recoverable(&profiles, &EvalCache::new(), &ctx)
+            })
         });
     }
     group.finish();

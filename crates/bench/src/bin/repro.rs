@@ -98,7 +98,7 @@
 use std::error::Error;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use xps_bench::{
     load_measured, measured_path, render_kiviat, render_table, save_measured, Measured,
 };
@@ -106,12 +106,13 @@ use xps_core::communal::{
     assign_surrogates, best_combination, ideal_performance, pitfall_experiment, simulate_jobs,
     CrossPerfMatrix, JobPolicy, Merit, Propagation, ScheduleOptions, Surrogating,
 };
-use xps_core::explore::{constants, FaultPlan, Journal, RunContext};
+use xps_core::explore::{constants, EvalCache, FaultPlan, Journal, RunContext};
 use xps_core::paper;
 use xps_core::pipeline::Pipeline;
 use xps_core::sim::{CoreConfig, Simulator};
 use xps_core::workload::{spec, Characterizer, TraceGenerator, KIVIAT_AXES};
 use xps_core::{cacti, table7};
+use xps_serve::{FlakyTransport, Fleet, FleetConfig, NetFaultPlan, TcpTransport};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Source {
@@ -422,6 +423,78 @@ fn run_opts() -> &'static RunOpts {
     RUN.get_or_init(RunOpts::default)
 }
 
+/// A CLI command's run context and, when tasks are scattered, its fleet.
+type CommandContext = (RunContext, Option<Arc<Fleet>>);
+
+/// The `RunContext` of a CLI command: the `XPS_FAULTS` plan, then
+/// `--retries` and `--faults`. With a `journal` default path, a
+/// checkpoint journal at `--journal` (or that default), resumed under
+/// `--resume` and created fresh otherwise. With `fleet`, the
+/// `--workers` dispatcher (when any worker is named), which is also
+/// returned for its end-of-run stats.
+fn run_context(journal: Option<&str>, fleet: bool) -> Result<CommandContext, Box<dyn Error>> {
+    let opts = run_opts();
+    let mut ctx = RunContext::from_env()?;
+    if let Some(default) = journal {
+        let path = opts
+            .journal
+            .clone()
+            .unwrap_or_else(|| PathBuf::from(default));
+        if let Some(dir) = path.parent() {
+            if !dir.as_os_str().is_empty() {
+                std::fs::create_dir_all(dir)?;
+            }
+        }
+        let journal = if opts.resume {
+            let journal = Journal::open(&path)?;
+            eprintln!(
+                "[resuming from {}: {} journaled task(s)]",
+                path.display(),
+                journal.loaded()
+            );
+            journal
+        } else {
+            Journal::create(&path)?
+        };
+        ctx = ctx.with_journal(journal);
+    }
+    if let Some(r) = opts.retries {
+        ctx = ctx.with_retries(r);
+    }
+    if let Some(plan) = opts.faults.clone() {
+        ctx = ctx.with_faults(plan);
+    }
+    if !fleet || opts.workers.is_empty() {
+        return Ok((ctx, None));
+    }
+    let fleet = fleet_dispatcher()?;
+    Ok((ctx.with_dispatcher(fleet.clone()), Some(fleet)))
+}
+
+/// The fleet coordinator over `--workers`, with `--retries` and the
+/// `--net-faults` (or `XPS_NET_FAULTS`) flaky-transport plan.
+fn fleet_dispatcher() -> Result<Arc<Fleet>, Box<dyn Error>> {
+    let opts = run_opts();
+    let mut cfg = FleetConfig::new(opts.workers.clone());
+    if let Some(retries) = opts.retries {
+        cfg.retries = retries;
+    }
+    let plan = match opts.net_faults.as_deref() {
+        Some(spec) => Some(NetFaultPlan::parse(spec)?),
+        None => NetFaultPlan::from_env()?,
+    };
+    let tcp = TcpTransport {
+        connect_timeout: cfg.connect_timeout,
+    };
+    Ok(Arc::new(match plan {
+        Some(plan) if plan.is_active() => {
+            eprintln!("[injecting network faults: {plan:?}]");
+            Fleet::new(cfg, Arc::new(FlakyTransport::new(plan, tcp)))
+        }
+        _ => Fleet::new(cfg, Arc::new(tcp)),
+    }))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse_cli(&args) {
@@ -548,7 +621,7 @@ fn run_dispatch(c: &str, source: Source, quick: bool) -> Result<(), Box<dyn Erro
         "appendix-a" => appendix_a(source, quick),
         "pitfall" => pitfall(source, quick),
         "schedule" => schedule(source, quick),
-        "ablation-tech" => Ok(ablation_tech()),
+        "ablation-tech" => ablation_tech(),
         "ablation-power" => Ok(ablation_power()),
         "ablation-predictor" => Ok(ablation_predictor()),
         "ablation-search" => Ok(ablation_search()),
@@ -656,7 +729,6 @@ const BAKEOFF_JOURNAL_PATH: &str = "results/bakeoff-journal.jsonl";
 /// changing a byte of the output.
 fn bakeoff_cmd(quick: bool) -> Result<(), Box<dyn Error>> {
     use xps_scenario::{run_bakeoff, BakeoffOptions, Family, PopulationSpec};
-    use xps_serve::{FlakyTransport, Fleet, FleetConfig, NetFaultPlan, TcpTransport};
     let opts = run_opts();
     let mut bake = if quick {
         BakeoffOptions::smoke()
@@ -691,58 +763,7 @@ fn bakeoff_cmd(quick: bool) -> Result<(), Box<dyn Error>> {
             seed: seed0,
         });
     }
-    let journal_path = opts
-        .journal
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(BAKEOFF_JOURNAL_PATH));
-    if let Some(dir) = journal_path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let journal = if opts.resume {
-        Journal::open(&journal_path)?
-    } else {
-        Journal::create(&journal_path)?
-    };
-    if opts.resume {
-        eprintln!(
-            "[resuming from {}: {} journaled task(s)]",
-            journal_path.display(),
-            journal.loaded()
-        );
-    }
-    let mut ctx = RunContext::from_env()?.with_journal(journal);
-    if let Some(r) = opts.retries {
-        ctx = ctx.with_retries(r);
-    }
-    if let Some(plan) = opts.faults.clone() {
-        ctx = ctx.with_faults(plan);
-    }
-    let fleet = if opts.workers.is_empty() {
-        None
-    } else {
-        let mut cfg = FleetConfig::new(opts.workers.clone());
-        if let Some(retries) = opts.retries {
-            cfg.retries = retries;
-        }
-        let plan = match opts.net_faults.as_deref() {
-            Some(spec) => Some(NetFaultPlan::parse(spec)?),
-            None => NetFaultPlan::from_env()?,
-        };
-        let tcp = TcpTransport {
-            connect_timeout: cfg.connect_timeout,
-        };
-        let fleet = std::sync::Arc::new(match plan {
-            Some(plan) if plan.is_active() => {
-                eprintln!("[injecting network faults: {plan:?}]");
-                Fleet::new(cfg, std::sync::Arc::new(FlakyTransport::new(plan, tcp)))
-            }
-            _ => Fleet::new(cfg, std::sync::Arc::new(tcp)),
-        });
-        ctx = ctx.with_dispatcher(fleet.clone());
-        Some(fleet)
-    };
+    let (mut ctx, fleet) = run_context(Some(BAKEOFF_JOURNAL_PATH), true)?;
     eprintln!(
         "[bake-off: budget={} seed={} spec={} scenario={} worker(s)={}]",
         bake.search.budget,
@@ -1084,32 +1105,10 @@ fn explore(quick: bool) -> Result<Measured, Box<dyn Error>> {
         Pipeline::default()
     };
     pipeline.explore.jobs = opts.jobs;
-    let journal_path = opts
-        .journal
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(JOURNAL_PATH));
-    let journal = if opts.resume {
-        Journal::open(&journal_path)?
-    } else {
-        Journal::create(&journal_path)?
-    };
-    if opts.resume {
-        eprintln!(
-            "[resuming from {}: {} journaled task(s)]",
-            journal_path.display(),
-            journal.loaded()
-        );
-    }
-    let mut ctx = RunContext::from_env()?.with_journal(journal);
-    if let Some(r) = opts.retries {
-        ctx = ctx.with_retries(r);
-    }
-    if let Some(plan) = opts.faults.clone() {
-        ctx = ctx.with_faults(plan);
-    }
+    let (mut ctx, _) = run_context(Some(JOURNAL_PATH), false)?;
     // xps-allow(determinism-provenance): CLI progress timing printed to stderr; measured results never see it
     let t0 = std::time::Instant::now();
-    let result = pipeline.run_recoverable(&spec::all_profiles(), &ctx)?;
+    let result = pipeline.run(&spec::all_profiles(), &EvalCache::new(), &ctx)?;
     let wall = t0.elapsed().as_secs_f64();
     let s = &result.stats;
     eprintln!(
@@ -1741,7 +1740,7 @@ fn schedule(source: Source, quick: bool) -> Result<(), Box<dyn Error>> {
 /// default technology and under one uniformly 1.6x slower, and show
 /// the configurations move (typically toward slower clocks and
 /// shallower pipes).
-fn ablation_tech() {
+fn ablation_tech() -> Result<(), Box<dyn Error>> {
     use xps_core::explore::{Campaign, ExploreOptions};
     println!("Technology ablation: same workloads, different physics\n");
     let profiles: Vec<_> = ["gzip", "twolf"]
@@ -1751,8 +1750,9 @@ fn ablation_tech() {
     let mut rows = Vec::new();
     for (label, factor) in [("default", 1.0f64), ("1.6x slower arrays", 1.6)] {
         let tech = cacti::Technology::default().scaled(factor);
-        let explorer = Campaign::with_technology(ExploreOptions::quick(), tech);
-        let r = explorer.explore(&profiles);
+        let explorer = Campaign::try_new(ExploreOptions::quick())?.with_technology(tech);
+        let ctx = RunContext::from_env()?;
+        let r = explorer.explore_recoverable(&profiles, &EvalCache::new(), &ctx)?;
         for core in &r.cores {
             let c = &core.config;
             rows.push(vec![
@@ -1782,6 +1782,7 @@ fn ablation_tech() {
         )
     );
     println!("workload characteristics alone cannot predict these rows — the paper's point.");
+    Ok(())
 }
 
 /// Ablation: performance-only vs energy-delay-product customization —
@@ -1801,7 +1802,14 @@ fn ablation_power() {
             let mut opts = AnnealOptions::quick();
             opts.iterations = 80;
             opts.objective = objective;
-            let r = anneal(&p, &DesignPoint::initial(), &opts, &tech);
+            let r = anneal(
+                &p,
+                &DesignPoint::initial(),
+                &opts,
+                &tech,
+                &EvalCache::new(),
+                None,
+            );
             let stats = Simulator::new(&r.config).run(TraceGenerator::new(p.clone()), 60_000);
             let e = estimate_energy(&tech, &r.config, &stats);
             let time_ns = stats.cycles as f64 * r.config.clock_ns;
@@ -1896,11 +1904,18 @@ fn ablation_search() {
         opts.eval_ops_late = 40_000;
         // xps-allow(determinism-provenance): ablation wall-time report on stderr; not part of measured output
         let t0 = Instant::now();
-        let g = grid_search(&p, &spec_grid, &opts, &tech);
+        let g = grid_search(&p, &spec_grid, &opts, &tech, 1, &EvalCache::new());
         let t_grid = t0.elapsed().as_secs_f64();
         // xps-allow(determinism-provenance): ablation wall-time report on stderr; not part of measured output
         let t0 = Instant::now();
-        let a = anneal(&p, &DesignPoint::initial(), &opts, &tech);
+        let a = anneal(
+            &p,
+            &DesignPoint::initial(),
+            &opts,
+            &tech,
+            &EvalCache::new(),
+            None,
+        );
         let t_anneal = t0.elapsed().as_secs_f64();
         rows.push(vec![
             name.to_string(),
@@ -2033,7 +2048,7 @@ fn visualize(source: Source, quick: bool) -> Result<(), Box<dyn Error>> {
 /// `--quick` shrinks the run to smoke scale (the trace structure is
 /// identical, only the op counts differ).
 fn profile_cmd(quick: bool) -> Result<(), Box<dyn Error>> {
-    use xps_core::explore::{write_atomic, EvalCache};
+    use xps_core::explore::write_atomic;
     use xps_core::trace::{with_recorder, TraceSink};
     let opts = run_opts();
     let mut pipeline = Pipeline::quick();
@@ -2058,9 +2073,7 @@ fn profile_cmd(quick: bool) -> Result<(), Box<dyn Error>> {
     let trace = TraceSink::with_wall_clock();
     let ctx = RunContext::from_env()?.with_trace(trace.clone());
     let cache = EvalCache::new();
-    let (root, outcome) = with_recorder(trace.recorder(), || {
-        pipeline.run_recoverable_with(&profiles, &ctx, &cache, None)
-    });
+    let (root, outcome) = with_recorder(trace.recorder(), || pipeline.run(&profiles, &cache, &ctx));
     trace.attach("main", root);
     outcome?;
     let profile = trace.profile();
@@ -2175,28 +2188,9 @@ fn client_cmd(quick: bool) -> Result<(), Box<dyn Error>> {
 /// seeded flaky-transport schedule; `--quick` uses the seconds-scale
 /// smoke profile. The document lands in `results/fleet.json`.
 fn fleet_cmd(quick: bool) -> Result<(), Box<dyn Error>> {
-    use xps_serve::{
-        run_campaign_with_fleet, FlakyTransport, Fleet, FleetConfig, NetFaultPlan, TcpTransport,
-    };
+    use xps_serve::run_campaign_with_fleet;
     let opts = run_opts();
-    let mut cfg = FleetConfig::new(opts.workers.clone());
-    if let Some(retries) = opts.retries {
-        cfg.retries = retries;
-    }
-    let plan = match opts.net_faults.as_deref() {
-        Some(spec) => Some(NetFaultPlan::parse(spec)?),
-        None => NetFaultPlan::from_env()?,
-    };
-    let tcp = TcpTransport {
-        connect_timeout: cfg.connect_timeout,
-    };
-    let fleet = std::sync::Arc::new(match plan {
-        Some(plan) if plan.is_active() => {
-            eprintln!("[injecting network faults: {plan:?}]");
-            Fleet::new(cfg, std::sync::Arc::new(FlakyTransport::new(plan, tcp)))
-        }
-        _ => Fleet::new(cfg, std::sync::Arc::new(tcp)),
-    });
+    let fleet = fleet_dispatcher()?;
     let profile = if quick { "smoke" } else { "quick" };
     let workloads = vec!["gzip".to_string(), "mcf".to_string()];
     eprintln!(
@@ -2239,7 +2233,6 @@ fn fleet_cmd(quick: bool) -> Result<(), Box<dyn Error>> {
 /// (default `results/scale.json`); execution statistics go to stderr.
 fn scale_cmd(quick: bool) -> Result<(), Box<dyn Error>> {
     use xps_scenario::{run_study, Family, PopulationSpec, StudyOptions};
-    use xps_serve::{FlakyTransport, Fleet, FleetConfig, NetFaultPlan, TcpTransport};
     let opts = run_opts();
     let families = match opts.families.as_deref() {
         Some(list) => list
@@ -2261,37 +2254,7 @@ fn scale_cmd(quick: bool) -> Result<(), Box<dyn Error>> {
         StudyOptions::quick()
     };
     study.pipeline.explore.jobs = opts.jobs;
-    let mut ctx = RunContext::from_env()?;
-    if let Some(r) = opts.retries {
-        ctx = ctx.with_retries(r);
-    }
-    if let Some(plan) = opts.faults.clone() {
-        ctx = ctx.with_faults(plan);
-    }
-    let fleet = if opts.workers.is_empty() {
-        None
-    } else {
-        let mut cfg = FleetConfig::new(opts.workers.clone());
-        if let Some(retries) = opts.retries {
-            cfg.retries = retries;
-        }
-        let plan = match opts.net_faults.as_deref() {
-            Some(spec) => Some(NetFaultPlan::parse(spec)?),
-            None => NetFaultPlan::from_env()?,
-        };
-        let tcp = TcpTransport {
-            connect_timeout: cfg.connect_timeout,
-        };
-        let fleet = std::sync::Arc::new(match plan {
-            Some(plan) if plan.is_active() => {
-                eprintln!("[injecting network faults: {plan:?}]");
-                Fleet::new(cfg, std::sync::Arc::new(FlakyTransport::new(plan, tcp)))
-            }
-            _ => Fleet::new(cfg, std::sync::Arc::new(tcp)),
-        });
-        ctx = ctx.with_dispatcher(fleet.clone());
-        Some(fleet)
-    };
+    let (ctx, fleet) = run_context(None, true)?;
     eprintln!(
         "[scale study: n={} seed={} families={} budget={} worker(s)={}]",
         spec.n,

@@ -3,8 +3,9 @@
 //! byte-identical Table 4 (customized cores) and Table 5 (cross-
 //! configuration matrix) output whether it runs on one worker or four.
 
-use xps_core::pipeline::Pipeline;
-use xps_core::workload::spec;
+use xps_core::explore::{EvalCache, RunContext};
+use xps_core::pipeline::{Pipeline, PipelineResult};
+use xps_core::workload::{spec, WorkloadProfile};
 
 /// A pipeline small enough to run twice in a test, but still exercising
 /// multi-start annealing, cross seeding, and replacement passes.
@@ -19,11 +20,19 @@ fn reduced(jobs: usize) -> Pipeline {
     p
 }
 
+/// One reduced run under the `XPS_FAULTS` plan (when set).
+fn run(jobs: usize, profiles: &[WorkloadProfile]) -> PipelineResult {
+    let ctx = RunContext::from_env().expect("valid XPS_FAULTS");
+    reduced(jobs)
+        .run(profiles, &EvalCache::new(), &ctx)
+        .expect("reduced pipeline")
+}
+
 #[test]
 fn jobs_1_and_jobs_4_produce_identical_tables() {
     let profiles = spec::all_profiles();
-    let serial = reduced(1).run(&profiles);
-    let parallel = reduced(4).run(&profiles);
+    let serial = run(1, &profiles);
+    let parallel = run(4, &profiles);
 
     // Table 4: the customized cores, serialized field-for-field.
     let t4_serial = serde_json::to_string_pretty(&serial.cores).expect("serialize");

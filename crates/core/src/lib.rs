@@ -54,8 +54,5 @@ pub use xps_trace as trace;
 pub use xps_workload as workload;
 
 pub use error::PipelineError;
-pub use pipeline::{
-    cross_matrix, cross_matrix_recoverable, cross_matrix_with, Pipeline, PipelineResult,
-    PipelineStats, FAILED_CELL_IPT,
-};
+pub use pipeline::{cross_matrix_recoverable, Pipeline, PipelineResult, FAILED_CELL_IPT};
 pub use report::{table7, Table7, Table7Row};

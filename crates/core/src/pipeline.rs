@@ -8,8 +8,8 @@ use crate::error::PipelineError;
 use serde::{Deserialize, Serialize};
 use xps_communal::CrossPerfMatrix;
 use xps_explore::{
-    merge_counts, resolve_jobs, CacheCounters, Campaign, CustomizedCore, EvalCache, EvalCell,
-    ExploreOptions, ProgressSink, RecoveryStats, RunContext,
+    merge_counts, resolve_jobs, Campaign, CustomizedCore, EvalCache, EvalCell, ExploreOptions,
+    ExploreStats, RunContext,
 };
 use xps_sim::CoreConfig;
 use xps_workload::WorkloadProfile;
@@ -18,7 +18,7 @@ use xps_workload::WorkloadProfile;
 /// every retry. Positive (so the matrix stays valid) but smaller than
 /// any real measurement, so a failed cell can never win a replacement
 /// decision; the failed task is listed in the run's
-/// [`RecoveryStats::failed_tasks`].
+/// [`RecoveryStats::failed_tasks`](xps_explore::RecoveryStats::failed_tasks).
 pub const FAILED_CELL_IPT: f64 = f64::MIN_POSITIVE;
 
 /// Options of the full measured pipeline.
@@ -74,23 +74,6 @@ impl Pipeline {
     }
 }
 
-/// Execution counters of one pipeline run: pool shape and evaluation
-/// cache effectiveness across both the exploration and the matrix
-/// phases. Informational only — results do not depend on it.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PipelineStats {
-    /// Worker threads the fan-outs ran on.
-    pub workers: usize,
-    /// Tasks (anneals or cell evaluations) completed per worker.
-    pub per_worker_tasks: Vec<u64>,
-    /// Evaluation-cache counters, shared across both phases.
-    pub cache: CacheCounters,
-    /// Crash-safety counters spanning both phases: executed vs
-    /// journal-salvaged tasks, retries, injected faults, and
-    /// permanently failed tasks.
-    pub recovery: RecoveryStats,
-}
-
 /// Everything the measured pipeline produces.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PipelineResult {
@@ -98,56 +81,30 @@ pub struct PipelineResult {
     pub cores: Vec<CustomizedCore>,
     /// The measured cross-configuration matrix (the measured Table 5).
     pub matrix: CrossPerfMatrix,
-    /// Parallelism and cache counters of this run.
-    pub stats: PipelineStats,
+    /// Parallelism, cache, and crash-safety counters spanning both
+    /// phases. Informational only — results do not depend on them.
+    pub stats: ExploreStats,
 }
 
 /// Build a cross-configuration matrix by simulating every workload on
 /// every configuration, applying the paper's replacement rule until
-/// the diagonal dominates (or the pass budget runs out).
-pub fn cross_matrix(
-    profiles: &[WorkloadProfile],
-    configs: &mut [CoreConfig],
-    ops: u64,
-    passes: u32,
-) -> CrossPerfMatrix {
-    cross_matrix_with(profiles, configs, ops, passes, 1, None).0
-}
-
-/// [`cross_matrix`] with the cell measurements fanned out over `jobs`
-/// workers (0 = available parallelism) as lock-step rows, memoized in
-/// `cache` (or, without one, in a cache private to the call). Returns
-/// the matrix plus the per-worker task counts.
+/// the diagonal dominates (or the pass budget runs out). Returns the
+/// matrix plus the per-worker task counts.
 ///
-/// Cells are pure functions of `(profile, config, ops)` and are merged
-/// in row-major order, so the matrix is bit-identical for any worker
-/// count. With a cache shared with the exploration phase, replacement
-/// passes mostly re-measure unchanged cells and hit instead of
-/// re-simulating.
-pub fn cross_matrix_with(
-    profiles: &[WorkloadProfile],
-    configs: &mut [CoreConfig],
-    ops: u64,
-    passes: u32,
-    jobs: usize,
-    cache: Option<&EvalCache>,
-) -> (CrossPerfMatrix, Vec<u64>) {
-    assert_eq!(
-        profiles.len(),
-        configs.len(),
-        "one configuration per workload"
-    );
-    let ctx = RunContext::from_env().unwrap_or_else(|e| panic!("{e}"));
-    cross_matrix_recoverable(profiles, configs, ops, passes, jobs, cache, &ctx)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The crash-safe [`cross_matrix_with`]: every cell measurement runs
-/// through `ctx` — panic-isolated, retried, optionally journaled and
-/// fault-injected. A cell that fails every attempt is reported in the
-/// context's [`RecoveryStats`] and measured as [`FAILED_CELL_IPT`]
-/// (so it can never win a replacement decision) instead of aborting
-/// the run.
+/// The cell measurements fan out over `jobs` workers (0 = available
+/// parallelism) as lock-step rows, memoized in `cache` (or, without
+/// one, in a cache private to the call). Cells are pure functions of
+/// `(profile, config, ops)` and are merged in row-major order, so the
+/// matrix is bit-identical for any worker count. With a cache shared
+/// with the exploration phase, replacement passes mostly re-measure
+/// unchanged cells and hit instead of re-simulating.
+///
+/// Every cell measurement runs through `ctx` — panic-isolated,
+/// retried, optionally journaled and fault-injected. A cell that fails
+/// every attempt is reported in the context's
+/// [`RecoveryStats`](xps_explore::RecoveryStats) and
+/// measured as [`FAILED_CELL_IPT`] (so it can never win a replacement
+/// decision) instead of aborting the run.
 ///
 /// # Errors
 ///
@@ -266,79 +223,35 @@ pub fn cross_matrix_recoverable(
 }
 
 impl Pipeline {
-    /// Run the full pipeline over `profiles`.
+    /// Run the full pipeline over `profiles`: exploration, then the
+    /// cross-configuration matrix.
     ///
-    /// One evaluation cache and one worker pool (sized by
-    /// `explore.jobs`; 0 = available parallelism) span both phases:
-    /// the exploration warms the cache, and the cross-configuration
-    /// matrix then reuses every evaluation it can. The results are
-    /// bit-identical for any worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `profiles` is empty, the pipeline options are
-    /// invalid, or the run fails terminally; see [`Pipeline::try_run`]
-    /// for the same run with typed errors.
-    pub fn run(&self, profiles: &[WorkloadProfile]) -> PipelineResult {
-        self.try_run(profiles).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Pipeline::run`] with typed errors, honouring the `XPS_FAULTS`
-    /// environment variable (deterministic fault injection for tests).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError`] when the options are invalid, the
-    /// fault specification is malformed, or the run fails terminally.
-    pub fn try_run(&self, profiles: &[WorkloadProfile]) -> Result<PipelineResult, PipelineError> {
-        let ctx = RunContext::from_env()?;
-        self.run_recoverable(profiles, &ctx)
-    }
-
-    /// The crash-safe [`Pipeline::run`]: every task — anneal start,
-    /// cross-seed evaluation, re-anneal, matrix cell — runs through
-    /// `ctx`, which isolates panics, retries failed attempts, and
-    /// (when a journal is attached) checkpoints each completed task so
-    /// an interrupted campaign can resume without re-running finished
-    /// work. Results are bit-identical to an uninterrupted
-    /// single-threaded run.
+    /// `cache` and one worker pool (sized by `explore.jobs`; 0 =
+    /// available parallelism) span both phases: the exploration warms
+    /// the cache, and the matrix then reuses every evaluation it can.
+    /// The cache may outlive the run — a long-lived service shares one
+    /// across requests. Every task — anneal start, cross-seed
+    /// evaluation, re-anneal, matrix cell — runs through `ctx`, which
+    /// isolates panics, retries failed attempts, checkpoints completed
+    /// tasks when a journal is attached (so an interrupted campaign
+    /// resumes without re-running finished work), and streams
+    /// annealing steps and task completions to its observer. Results
+    /// are bit-identical for any worker count, cache state, or
+    /// observer, and to an uninterrupted run.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError`] when the options are invalid, the
     /// journal fails, or a whole workload fails terminally.
-    pub fn run_recoverable(
+    pub fn run(
         &self,
         profiles: &[WorkloadProfile],
-        ctx: &RunContext,
-    ) -> Result<PipelineResult, PipelineError> {
-        self.run_recoverable_with(profiles, ctx, &EvalCache::new(), None)
-    }
-
-    /// [`Pipeline::run_recoverable`] against a caller-supplied
-    /// evaluation cache and an optional progress sink — the embedding
-    /// entry point for a long-lived service. The cache outlives the
-    /// run, so a daemon serving repeated or overlapping requests reuses
-    /// every evaluation across them; the sink streams annealing steps
-    /// and task completions live. Both are observational: results are
-    /// bit-identical to [`Pipeline::run_recoverable`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Pipeline::run_recoverable`].
-    pub fn run_recoverable_with(
-        &self,
-        profiles: &[WorkloadProfile],
-        ctx: &RunContext,
         cache: &EvalCache,
-        progress: Option<&ProgressSink>,
+        ctx: &RunContext,
     ) -> Result<PipelineResult, PipelineError> {
         self.validate()?;
-        let mut explorer = Campaign::try_new(self.explore.clone())?;
-        if let Some(sink) = progress {
-            explorer = explorer.with_progress(sink.clone());
-        }
-        let explored = explorer.explore_recoverable(profiles, cache, ctx)?;
+        let explored =
+            Campaign::try_new(self.explore.clone())?.explore_recoverable(profiles, cache, ctx)?;
         let mut configs: Vec<CoreConfig> =
             explored.cores.iter().map(|c| c.config.clone()).collect();
         let (matrix, matrix_tasks) = cross_matrix_recoverable(
@@ -366,7 +279,7 @@ impl Pipeline {
         Ok(PipelineResult {
             cores,
             matrix,
-            stats: PipelineStats {
+            stats: ExploreStats {
                 workers: resolve_jobs(self.explore.jobs),
                 per_worker_tasks,
                 cache: cache.counters(),
@@ -387,7 +300,10 @@ mod tests {
             .iter()
             .map(|n| spec::profile(n).expect("known benchmark"))
             .collect();
-        let r = Pipeline::quick().run(&profiles);
+        let ctx = RunContext::from_env().expect("valid XPS_FAULTS");
+        let r = Pipeline::quick()
+            .run(&profiles, &EvalCache::new(), &ctx)
+            .expect("quick pipeline");
         assert_eq!(r.cores.len(), 3);
         assert_eq!(r.matrix.len(), 3);
         assert!(
@@ -416,7 +332,9 @@ mod tests {
         let mut good = CoreConfig::initial();
         good.name = "vpr".to_string();
         let mut configs = vec![bad, good];
-        let m = cross_matrix(&profiles, &mut configs, 20_000, 3);
+        let ctx = RunContext::from_env().expect("valid XPS_FAULTS");
+        let (m, _) = cross_matrix_recoverable(&profiles, &mut configs, 20_000, 3, 1, None, &ctx)
+            .expect("matrix");
         assert!(m.is_diagonal_dominant());
         assert_eq!(
             configs[0].rob_size, configs[1].rob_size,

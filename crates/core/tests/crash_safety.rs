@@ -70,7 +70,7 @@ fn tmp(name: &str) -> PathBuf {
 fn transient_faults_retry_to_byte_identical_output() {
     let p = profiles();
     let clean = mini(1)
-        .run_recoverable(&p, &RunContext::new())
+        .run(&p, &EvalCache::new(), &RunContext::new())
         .expect("clean run");
 
     // ~20% of first attempts panic, selected deterministically by task
@@ -78,7 +78,9 @@ fn transient_faults_retry_to_byte_identical_output() {
     let ctx = RunContext::new()
         .with_faults(FaultPlan::rate(20, 7, 1, FaultKind::Panic))
         .with_retries(2);
-    let faulted = mini(2).run_recoverable(&p, &ctx).expect("faulted run");
+    let faulted = mini(2)
+        .run(&p, &EvalCache::new(), &ctx)
+        .expect("faulted run");
 
     let rec = &faulted.stats.recovery;
     assert!(rec.faults_injected > 0, "the plan must actually fire");
@@ -103,7 +105,7 @@ fn interrupted_run_resumes_from_journal_bit_for_bit() {
     // interrupted campaign would have left behind (a kill between
     // tasks leaves a clean prefix of it; we simulate one below).
     let mut ctx = RunContext::new().with_journal(Journal::create(&path).expect("create"));
-    let full = mini(2).run_recoverable(&p, &ctx).expect("full run");
+    let full = mini(2).run(&p, &EvalCache::new(), &ctx).expect("full run");
     let total = ctx.stats().executed;
     assert_eq!(ctx.stats().salvaged, 0);
     drop(ctx.take_journal());
@@ -121,7 +123,9 @@ fn interrupted_run_resumes_from_journal_bit_for_bit() {
     // Resume: journaled tasks are salvaged, the rest re-run, and the
     // deliverable bytes match the uninterrupted run exactly.
     let ctx = RunContext::new().with_journal(Journal::open(&path).expect("open"));
-    let resumed = mini(2).run_recoverable(&p, &ctx).expect("resumed run");
+    let resumed = mini(2)
+        .run(&p, &EvalCache::new(), &ctx)
+        .expect("resumed run");
     let rec = ctx.stats();
     assert_eq!(rec.salvaged, keep as u64, "salvage exactly the journal");
     assert_eq!(
@@ -147,7 +151,7 @@ fn permanent_matrix_failures_degrade_and_are_reported() {
         .with_faults(FaultPlan::targets(["matrix#"], u32::MAX, FaultKind::Panic))
         .with_retries(1);
     let r = mini(2)
-        .run_recoverable(&p, &ctx)
+        .run(&p, &EvalCache::new(), &ctx)
         .expect("degraded run still completes");
     let rec = &r.stats.recovery;
     assert!(
@@ -175,13 +179,13 @@ fn permanent_matrix_failures_degrade_and_are_reported() {
 fn batched_matrix_under_transient_faults_is_byte_identical() {
     let p = profiles();
     let clean = mini_streamed(1)
-        .run_recoverable(&p, &RunContext::new())
+        .run(&p, &EvalCache::new(), &RunContext::new())
         .expect("clean run");
     let ctx = RunContext::new()
         .with_faults(FaultPlan::rate(20, 7, 1, FaultKind::Panic))
         .with_retries(2);
     let faulted = mini_streamed(2)
-        .run_recoverable(&p, &ctx)
+        .run(&p, &EvalCache::new(), &ctx)
         .expect("faulted run");
     let rec = &faulted.stats.recovery;
     assert!(rec.faults_injected > 0, "the plan must actually fire");
@@ -201,7 +205,7 @@ fn batched_matrix_killed_mid_fill_resumes_without_resimulating() {
     // The reference: an uninterrupted journaled run.
     let mut ctx = RunContext::new().with_journal(Journal::create(&path).expect("create"));
     let full = mini_streamed(2)
-        .run_recoverable(&p, &ctx)
+        .run(&p, &EvalCache::new(), &ctx)
         .expect("full run");
     let total = ctx.stats().executed;
     drop(ctx.take_journal());
@@ -226,7 +230,7 @@ fn batched_matrix_killed_mid_fill_resumes_without_resimulating() {
         .with_cancel(cancel)
         .with_observer(sink);
     let err = mini_streamed(2)
-        .run_recoverable(&p, &ctx)
+        .run(&p, &EvalCache::new(), &ctx)
         .expect_err("killed mid-fill");
     assert!(
         matches!(err, PipelineError::Explore(ExploreError::Cancelled)),
@@ -249,7 +253,7 @@ fn batched_matrix_killed_mid_fill_resumes_without_resimulating() {
     // Resume: every journaled task is salvaged, only the rest execute.
     let ctx = RunContext::new().with_journal(Journal::open(&path).expect("open"));
     let resumed = mini_streamed(2)
-        .run_recoverable(&p, &ctx)
+        .run(&p, &EvalCache::new(), &ctx)
         .expect("resumed run");
     let rec = ctx.stats();
     assert_eq!(rec.salvaged, journaled, "salvage exactly the journal");

@@ -3,19 +3,20 @@
 //! measured analogue of the paper's Table 4, without the matrix step.
 //!
 //! ```text
-//! cargo run --release -p xps-explore --example dbg
+//! cargo run --release -p xps-explore --example explore_all
 //! ```
 //! (Takes a few minutes; for the persisted full pipeline use
 //! `repro explore` from the `xps-bench` crate.)
 
 use std::time::Instant;
-use xps_explore::{Campaign, ExploreOptions};
+use xps_explore::{Campaign, EvalCache, ExploreError, ExploreOptions, RunContext};
 use xps_workload::spec;
 
-fn main() {
+fn main() -> Result<(), ExploreError> {
     let t0 = Instant::now();
-    let explorer = Campaign::new(ExploreOptions::default());
-    let r = explorer.explore(&spec::all_profiles());
+    let campaign = Campaign::try_new(ExploreOptions::default())?;
+    let ctx = RunContext::from_env()?;
+    let r = campaign.explore_recoverable(&spec::all_profiles(), &EvalCache::new(), &ctx)?;
     println!(
         "elapsed {:.1}s, cross-seeding adoptions {}",
         t0.elapsed().as_secs_f64(),
@@ -45,4 +46,5 @@ fn main() {
             cfg.l2.latency,
         );
     }
+    Ok(())
 }

@@ -6,7 +6,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use xps_cacti::Technology;
-use xps_sim::{energy_delay_product, CoreConfig, SimStats};
+use xps_sim::{energy_delay_product, CoreConfig};
 use xps_trace::{ProgressEvent, ProgressSink};
 use xps_workload::WorkloadProfile;
 
@@ -133,45 +133,19 @@ pub struct AnnealResult {
     pub rejected_unrealizable: u32,
 }
 
-/// The stats of one evaluation, via the memoization cache when one is
-/// supplied. Either way the trace generator is rebuilt from the
-/// profile's own seed, so results never depend on annealing state.
-fn stats_for(
-    profile: &WorkloadProfile,
-    cfg: &CoreConfig,
-    ops: u64,
-    cache: Option<&EvalCache>,
-) -> SimStats {
-    match cache {
-        Some(cache) => cache.stats(profile, cfg, ops),
-        None => xps_sim::evaluate(profile, cfg, ops),
-    }
-}
-
 /// Evaluate a configuration under an explicit objective (higher is
-/// better for both variants).
+/// better for both variants), memoized in `cache`. A cache hit returns
+/// exactly the stats a fresh simulation would produce, so annealing
+/// walks are unchanged by caching.
 pub fn score(
     profile: &WorkloadProfile,
     cfg: &CoreConfig,
     ops: u64,
     objective: Objective,
     tech: &Technology,
+    cache: &EvalCache,
 ) -> f64 {
-    score_with(profile, cfg, ops, objective, tech, None)
-}
-
-/// [`score`] with an optional memoization cache. A cache hit returns
-/// exactly the stats a fresh simulation would produce, so annealing
-/// walks are unchanged by caching.
-pub fn score_with(
-    profile: &WorkloadProfile,
-    cfg: &CoreConfig,
-    ops: u64,
-    objective: Objective,
-    tech: &Technology,
-    cache: Option<&EvalCache>,
-) -> f64 {
-    let stats = stats_for(profile, cfg, ops, cache);
+    let stats = cache.stats(profile, cfg, ops);
     match objective {
         Objective::Ipt => stats.ipt(),
         Objective::InverseEnergyDelay => 1.0 / energy_delay_product(tech, cfg, &stats),
@@ -245,44 +219,20 @@ pub(crate) fn propose(rng: &mut SmallRng, p: &DesignPoint) -> DesignPoint {
 /// Run simulated annealing for one workload, starting from `start`
 /// (use [`DesignPoint::initial`] for the paper's Table 3 start).
 ///
-/// Deterministic for fixed `(profile, start, opts, tech)`.
+/// Every evaluation goes through `cache`, shared across runs:
+/// rollback re-evaluations, cross-seeding, and repeated visits to one
+/// design reuse stats instead of re-simulating. `progress`, when set,
+/// receives one [`ProgressEvent::AnnealStep`] per iteration, tagged
+/// with the given multi-start index. Cached stats are bit-identical to
+/// fresh ones and observation is read-only, so the result is
+/// deterministic for fixed `(profile, start, opts, tech)`.
 pub fn anneal(
     profile: &WorkloadProfile,
     start: &DesignPoint,
     opts: &AnnealOptions,
     tech: &Technology,
-) -> AnnealResult {
-    anneal_with(profile, start, opts, tech, None)
-}
-
-/// [`anneal`] with an optional memoization cache shared across runs.
-/// Rollback re-evaluations, cross-seeding, and repeated visits to one
-/// design then reuse stats instead of re-simulating; because cached
-/// stats are bit-identical to fresh ones and the walk RNG is never
-/// consulted during evaluation, the result is bit-identical to an
-/// uncached run.
-pub fn anneal_with(
-    profile: &WorkloadProfile,
-    start: &DesignPoint,
-    opts: &AnnealOptions,
-    tech: &Technology,
-    cache: Option<&EvalCache>,
-) -> AnnealResult {
-    anneal_observed(profile, start, opts, tech, cache, None)
-}
-
-/// [`anneal_with`] plus an optional progress sink that receives one
-/// [`ProgressEvent::AnnealStep`] per iteration (tagged `start: 0`; a
-/// multi-start caller re-tags through a wrapping sink). Observation is
-/// read-only: the walk, and therefore the result, is bit-identical
-/// with or without a sink.
-pub fn anneal_observed(
-    profile: &WorkloadProfile,
-    start: &DesignPoint,
-    opts: &AnnealOptions,
-    tech: &Technology,
-    cache: Option<&EvalCache>,
-    sink: Option<&ProgressSink>,
+    cache: &EvalCache,
+    progress: Option<(&ProgressSink, u32)>,
 ) -> AnnealResult {
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ profile.seed);
     let name = profile.name.clone();
@@ -310,7 +260,7 @@ pub fn anneal_observed(
     };
     let early_iters = (f64::from(opts.iterations) * opts.early_fraction) as u32;
 
-    let mut cur_ipt = score_with(
+    let mut cur_ipt = score(
         profile,
         &cur_cfg,
         opts.eval_ops_early,
@@ -333,7 +283,7 @@ pub fn anneal_observed(
         };
         let cand = propose(&mut rng, &cur);
         if let Some(cfg) = cand.realize(tech, &name) {
-            let ipt = score_with(profile, &cfg, ops, opts.objective, tech, cache);
+            let ipt = score(profile, &cfg, ops, opts.objective, tech, cache);
             let accept = ipt > cur_ipt || {
                 let delta = ipt - cur_ipt;
                 rng.gen::<f64>() < (delta / temp.max(1e-6)).exp()
@@ -374,10 +324,10 @@ pub fn anneal_observed(
         }
         temp *= opts.cooling;
         history.push(best_ipt);
-        if let Some(sink) = sink {
+        if let Some((sink, start)) = progress {
             sink.emit(&ProgressEvent::AnnealStep {
                 workload: name.clone(),
-                start: 0,
+                start,
                 iteration: it + 1,
                 iterations: opts.iterations,
                 temperature: temp,
@@ -387,7 +337,7 @@ pub fn anneal_observed(
     }
 
     // Final measurement at the long trace length for a fair Table 5.
-    let final_ipt = score_with(
+    let final_ipt = score(
         profile,
         &best_cfg,
         opts.eval_ops_late,
@@ -419,6 +369,18 @@ mod tests {
     use super::*;
     use xps_workload::spec;
 
+    /// An unobserved walk from the Table 3 start on a fresh cache.
+    fn walk(p: &WorkloadProfile, opts: &AnnealOptions, tech: &Technology) -> AnnealResult {
+        anneal(
+            p,
+            &DesignPoint::initial(),
+            opts,
+            tech,
+            &EvalCache::new(),
+            None,
+        )
+    }
+
     #[test]
     fn annealing_improves_over_initial() {
         let tech = Technology::default();
@@ -426,8 +388,16 @@ mod tests {
         let opts = AnnealOptions::quick();
         let start = DesignPoint::initial();
         let init_cfg = start.realize(&tech, "init").expect("realizable");
-        let init_ipt = score(&p, &init_cfg, opts.eval_ops_late, Objective::Ipt, &tech);
-        let result = anneal(&p, &start, &opts, &tech);
+        let cache = EvalCache::new();
+        let init_ipt = score(
+            &p,
+            &init_cfg,
+            opts.eval_ops_late,
+            Objective::Ipt,
+            &tech,
+            &cache,
+        );
+        let result = anneal(&p, &start, &opts, &tech, &cache, None);
         assert!(
             result.ipt >= init_ipt * 0.98,
             "annealing must not end below the start: {} vs {init_ipt}",
@@ -440,7 +410,7 @@ mod tests {
     fn history_is_monotone_nondecreasing() {
         let tech = Technology::default();
         let p = spec::profile("twolf").expect("twolf exists");
-        let result = anneal(&p, &DesignPoint::initial(), &AnnealOptions::quick(), &tech);
+        let result = walk(&p, &AnnealOptions::quick(), &tech);
         for w in result.history.windows(2) {
             assert!(w[1] >= w[0], "best-so-far curve never decreases");
         }
@@ -450,33 +420,30 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let tech = Technology::default();
         let p = spec::profile("gap").expect("gap exists");
-        let a = anneal(&p, &DesignPoint::initial(), &AnnealOptions::quick(), &tech);
-        let b = anneal(&p, &DesignPoint::initial(), &AnnealOptions::quick(), &tech);
+        let a = walk(&p, &AnnealOptions::quick(), &tech);
+        let b = walk(&p, &AnnealOptions::quick(), &tech);
         assert_eq!(a.point, b.point);
         assert!((a.ipt - b.ipt).abs() < 1e-12);
     }
 
     #[test]
-    fn cached_anneal_bit_identical_to_uncached() {
+    fn warm_cache_rerun_is_bit_identical() {
         let tech = Technology::default();
         let p = spec::profile("vpr").expect("vpr exists");
         let opts = AnnealOptions::quick();
-        let plain = anneal(&p, &DesignPoint::initial(), &opts, &tech);
         let cache = EvalCache::new();
-        let cached = anneal_with(&p, &DesignPoint::initial(), &opts, &tech, Some(&cache));
-        assert_eq!(plain.point, cached.point);
-        assert_eq!(plain.config, cached.config);
-        assert!(
-            (plain.ipt - cached.ipt).abs() == 0.0,
-            "must be bit-identical"
-        );
-        assert_eq!(plain.history, cached.history);
+        let cold = anneal(&p, &DesignPoint::initial(), &opts, &tech, &cache, None);
+        // The final measurement equals a fresh, uncached simulation.
+        let fresh = xps_sim::evaluate(&p, &cold.config, opts.eval_ops_late).ipt();
+        assert!((cold.ipt - fresh).abs() == 0.0, "must be bit-identical");
         // Re-running against the warm cache hits for every evaluation
         // and still reproduces the identical walk.
         let before = cache.counters();
-        let rerun = anneal_with(&p, &DesignPoint::initial(), &opts, &tech, Some(&cache));
+        let rerun = anneal(&p, &DesignPoint::initial(), &opts, &tech, &cache, None);
         let after = cache.counters();
-        assert_eq!(rerun.history, plain.history);
+        assert_eq!(rerun.point, cold.point);
+        assert_eq!(rerun.config, cold.config);
+        assert_eq!(rerun.history, cold.history);
         assert_eq!(after.misses, before.misses, "warm rerun must not simulate");
         assert!(after.hits > before.hits);
     }
@@ -491,8 +458,8 @@ mod tests {
         perf_opts.iterations = 80;
         let mut edp_opts = perf_opts.clone();
         edp_opts.objective = Objective::InverseEnergyDelay;
-        let perf = anneal(&p, &DesignPoint::initial(), &perf_opts, &tech);
-        let edp = anneal(&p, &DesignPoint::initial(), &edp_opts, &tech);
+        let perf = walk(&p, &perf_opts, &tech);
+        let edp = walk(&p, &edp_opts, &tech);
         let energy_of = |cfg: &xps_sim::CoreConfig| {
             let stats = Simulator::new(cfg).run(TraceGenerator::new(p.clone()), 30_000);
             estimate_energy(&tech, cfg, &stats).total_nj()
@@ -513,8 +480,8 @@ mod tests {
         o1.seed = 1;
         let mut o2 = AnnealOptions::quick();
         o2.seed = 2;
-        let a = anneal(&p, &DesignPoint::initial(), &o1, &tech);
-        let b = anneal(&p, &DesignPoint::initial(), &o2, &tech);
+        let a = walk(&p, &o1, &tech);
+        let b = walk(&p, &o2, &tech);
         // Not a hard guarantee, but with 60 iterations the walks
         // essentially always diverge.
         assert!(a.point != b.point || (a.ipt - b.ipt).abs() > 1e-9);

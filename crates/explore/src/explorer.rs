@@ -1,7 +1,7 @@
 //! The full §4 methodology: per-workload annealing plus
 //! cross-configuration seeding across workloads.
 
-use crate::anneal::{anneal_observed, AnnealOptions, AnnealResult};
+use crate::anneal::{anneal, AnnealOptions, AnnealResult};
 use crate::cache::{CacheCounters, EvalCache};
 use crate::error::{ExploreError, TaskError};
 use crate::parallel::{merge_counts, resolve_jobs};
@@ -10,7 +10,6 @@ use crate::recovery::{EvalCell, RecoveryStats, RunContext};
 use serde::{Deserialize, Serialize};
 use xps_cacti::Technology;
 use xps_sim::CoreConfig;
-use xps_trace::{ProgressEvent, ProgressSink};
 use xps_workload::WorkloadProfile;
 
 /// Options for a full exploration campaign.
@@ -121,7 +120,6 @@ pub struct ExplorationResult {
 pub struct Campaign {
     opts: ExploreOptions,
     tech: Technology,
-    progress: Option<ProgressSink>,
 }
 
 impl Campaign {
@@ -137,41 +135,13 @@ impl Campaign {
         Ok(Campaign {
             opts,
             tech: Technology::default(),
-            progress: None,
         })
     }
 
-    /// Build an explorer with the default technology.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the options are invalid; use
-    /// [`try_new`](Campaign::try_new) for a typed error.
-    pub fn new(opts: ExploreOptions) -> Campaign {
-        Campaign::try_new(opts).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Build an explorer for a specific technology point (the paper
+    /// Explore at a specific technology point instead (the paper
     /// stresses that these physical properties shape the outcome).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the options are invalid.
-    pub fn with_technology(opts: ExploreOptions, tech: Technology) -> Campaign {
-        opts.validate().unwrap_or_else(|e| panic!("{e}"));
-        Campaign {
-            opts,
-            tech,
-            progress: None,
-        }
-    }
-
-    /// Attach a progress sink: every annealing iteration of the
-    /// campaign emits one [`ProgressEvent::AnnealStep`] (tagged with
-    /// the workload and the multi-start index). Observation is
-    /// read-only — results are bit-identical with or without a sink.
-    pub fn with_progress(mut self, sink: ProgressSink) -> Campaign {
-        self.progress = Some(sink);
+    pub fn with_technology(mut self, tech: Technology) -> Campaign {
+        self.tech = tech;
         self
     }
 
@@ -183,41 +153,19 @@ impl Campaign {
     /// Run the full campaign: anneal each workload from the Table 3
     /// start, then `cross_rounds` of cross-configuration seeding.
     ///
-    /// # Panics
-    ///
-    /// Panics if `profiles` is empty.
-    pub fn explore(&self, profiles: &[WorkloadProfile]) -> ExplorationResult {
-        self.explore_with(profiles, &EvalCache::new())
-    }
-
-    /// [`explore`](Campaign::explore) against a caller-supplied
-    /// evaluation cache, so a surrounding pipeline can share one cache
-    /// between exploration and later cross-performance measurement.
+    /// Every evaluation is memoized in `cache`, so a surrounding
+    /// pipeline can share one cache between exploration and later
+    /// cross-performance measurement. Every task runs through `ctx` —
+    /// panic-isolated, retried, optionally journaled for `--resume`,
+    /// fault-injected, or dispatched — and every annealing iteration
+    /// emits one [`ProgressEvent::AnnealStep`](xps_trace::ProgressEvent)
+    /// (tagged with the workload and the multi-start index) to the
+    /// context's observer, when one is attached.
     ///
     /// The per-workload anneals (times three multi-start corners) and
     /// the cross-seeding evaluations fan out over `opts.jobs` workers;
     /// every task owns its own seeded RNG stream and results are merged
     /// in task order, so the outcome is bit-identical to a serial run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `profiles` is empty or a workload fails terminally;
-    /// use [`explore_recoverable`](Campaign::explore_recoverable) for
-    /// typed errors, journaling, and fault injection.
-    pub fn explore_with(
-        &self,
-        profiles: &[WorkloadProfile],
-        cache: &EvalCache,
-    ) -> ExplorationResult {
-        let ctx = RunContext::from_env().unwrap_or_else(|e| panic!("{e}"));
-        self.explore_recoverable(profiles, cache, &ctx)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The crash-safe campaign: as
-    /// [`explore_with`](Campaign::explore_with), but every task runs
-    /// through `ctx` — panic-isolated, retried, optionally journaled
-    /// for `--resume`, and optionally fault-injected.
     ///
     /// A task that fails every attempt degrades the run instead of
     /// aborting it: a failed anneal start falls back to the workload's
@@ -259,7 +207,7 @@ impl Campaign {
         // own RNG from (opts.seed ^ start index, profile seed), so the
         // walks are identical no matter which worker runs them.
         let anneal_phase = xps_trace::span("explore.anneal");
-        let fan = ctx.run_fan_tasks(
+        let fan = ctx.run_fan(
             self.opts.jobs,
             "anneal",
             profiles.len() * starts.len(),
@@ -268,7 +216,7 @@ impl Campaign {
                 // start, options (with the multi-start seed mixed in),
                 // and technology the local closure below uses, so a
                 // dispatched anneal is bit-identical. Remote walks skip
-                // the local progress sink — observation only.
+                // the local progress observer — observation only.
                 let (p, i) = (&profiles[t / starts.len()], t % starts.len());
                 let mut opts = self.opts.anneal.clone();
                 opts.seed ^= (i as u64) << 32;
@@ -280,32 +228,8 @@ impl Campaign {
                 let (p, i) = (&profiles[t / starts.len()], t % starts.len());
                 let mut opts = self.opts.anneal.clone();
                 opts.seed ^= (i as u64) << 32;
-                // Wrap the campaign sink so this walk's steps carry
-                // their multi-start index (the annealer itself always
-                // tags `start: 0`).
-                let sink = self.progress.as_ref().map(|outer| {
-                    let outer = outer.clone();
-                    let start = i as u32;
-                    ProgressSink::new(move |e| match e {
-                        ProgressEvent::AnnealStep {
-                            workload,
-                            iteration,
-                            iterations,
-                            temperature,
-                            best,
-                            ..
-                        } => outer.emit(&ProgressEvent::AnnealStep {
-                            workload: workload.clone(),
-                            start,
-                            iteration: *iteration,
-                            iterations: *iterations,
-                            temperature: *temperature,
-                            best: *best,
-                        }),
-                        other => outer.emit(other),
-                    })
-                });
-                anneal_observed(p, &starts[i], &opts, &self.tech, Some(cache), sink.as_ref())
+                let progress = ctx.observer().map(|sink| (sink, i as u32));
+                anneal(p, &starts[i], &opts, &self.tech, cache, progress)
             },
         )?;
         anneal_phase.end_with(|| xps_trace::attr("tasks", profiles.len() * starts.len()));
@@ -386,14 +310,14 @@ impl Campaign {
                         &re_opts,
                         &self.tech,
                     );
-                    let reanneal = ctx.run_task_described("reanneal", respec, || {
-                        anneal_observed(
+                    let reanneal = ctx.run_task("reanneal", respec, || {
+                        anneal(
                             &profiles[i],
                             &seed_point,
                             &re_opts,
                             &self.tech,
-                            Some(cache),
-                            self.progress.as_ref(),
+                            cache,
+                            ctx.observer().map(|sink| (sink, 0)),
                         )
                     })?;
                     if let Ok(r) = reanneal {
@@ -448,14 +372,23 @@ mod tests {
     use super::*;
     use xps_workload::spec;
 
+    /// One campaign under the `XPS_FAULTS` plan (when set), so the
+    /// fault-injection CI job covers it.
+    fn run_campaign(opts: ExploreOptions, profiles: &[WorkloadProfile]) -> ExplorationResult {
+        let ctx = RunContext::from_env().expect("valid XPS_FAULTS");
+        Campaign::try_new(opts)
+            .expect("valid options")
+            .explore_recoverable(profiles, &EvalCache::new(), &ctx)
+            .expect("campaign succeeds")
+    }
+
     #[test]
     fn explore_two_workloads_quickly() {
         let profiles = vec![
             spec::profile("gzip").expect("gzip exists"),
             spec::profile("mcf").expect("mcf exists"),
         ];
-        let explorer = Campaign::new(ExploreOptions::quick());
-        let r = explorer.explore(&profiles);
+        let r = run_campaign(ExploreOptions::quick(), &profiles);
         assert_eq!(r.cores.len(), 2);
         assert_eq!(r.cores[0].config.name, "gzip");
         assert_eq!(r.cores[1].config.name, "mcf");
@@ -466,9 +399,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one workload")]
-    fn empty_input_panics() {
-        Campaign::new(ExploreOptions::quick()).explore(&[]);
+    fn empty_input_is_a_typed_error() {
+        let campaign = Campaign::try_new(ExploreOptions::quick()).expect("valid options");
+        let r = campaign.explore_recoverable(&[], &EvalCache::new(), &RunContext::new());
+        assert!(matches!(r, Err(ExploreError::EmptyWorkloads)), "{r:?}");
     }
 
     #[test]
@@ -502,7 +436,7 @@ mod tests {
         opts.anneal.eval_ops_late = 6000;
         opts.reanneal_iterations = 3;
         opts.jobs = 2;
-        let explorer = Campaign::new(opts);
+        let explorer = Campaign::try_new(opts).expect("valid options");
         // Kill gzip's corner start (task 1 of its three) on every
         // attempt: the run must degrade to its surviving starts.
         let ctx = RunContext::new()
@@ -532,7 +466,7 @@ mod tests {
         opts.anneal.iterations = 5;
         opts.anneal.eval_ops_early = 2000;
         opts.anneal.eval_ops_late = 4000;
-        let explorer = Campaign::new(opts);
+        let explorer = Campaign::try_new(opts).expect("valid options");
         let ctx = RunContext::new()
             .with_faults(FaultPlan::targets(["anneal#"], u32::MAX, FaultKind::Error))
             .with_retries(0);
@@ -545,6 +479,7 @@ mod tests {
     #[test]
     fn progress_sink_observes_without_changing_results() {
         use std::sync::{Arc, Mutex};
+        use xps_trace::{ProgressEvent, ProgressSink};
         let profiles = vec![
             spec::profile("gzip").expect("gzip exists"),
             spec::profile("mcf").expect("mcf exists"),
@@ -555,45 +490,75 @@ mod tests {
         opts.anneal.eval_ops_late = 6000;
         opts.reanneal_iterations = 3;
         opts.jobs = 2;
-        let plain = Campaign::new(opts.clone()).explore(&profiles);
-        let steps: Arc<Mutex<Vec<(String, u32, u32)>>> = Arc::default();
+        let plain = run_campaign(opts.clone(), &profiles);
+        // (workload, start, iteration, iterations) per step; the key of
+        // every finished task.
+        type Step = (String, u32, u32, u32);
+        let steps: Arc<Mutex<Vec<Step>>> = Arc::default();
+        let done: Arc<Mutex<Vec<String>>> = Arc::default();
         let sink = {
-            let steps = steps.clone();
-            ProgressSink::new(move |e| {
-                if let ProgressEvent::AnnealStep {
+            let (steps, done) = (steps.clone(), done.clone());
+            ProgressSink::new(move |e| match e {
+                ProgressEvent::AnnealStep {
                     workload,
                     start,
                     iteration,
+                    iterations,
                     ..
-                } = e
-                {
+                } => {
                     steps
                         .lock()
                         .unwrap()
-                        .push((workload.clone(), *start, *iteration));
+                        .push((workload.clone(), *start, *iteration, *iterations))
                 }
+                ProgressEvent::TaskDone { key, .. } => done.lock().unwrap().push(key.clone()),
             })
         };
-        let observed = Campaign::new(opts.clone())
-            .with_progress(sink)
-            .explore(&profiles);
+        let ctx = RunContext::from_env()
+            .expect("valid XPS_FAULTS")
+            .with_observer(sink);
+        let observed = Campaign::try_new(opts.clone())
+            .expect("valid options")
+            .explore_recoverable(&profiles, &EvalCache::new(), &ctx)
+            .expect("campaign succeeds");
         for (a, b) in plain.cores.iter().zip(&observed.cores) {
             assert_eq!(a.point, b.point);
+            assert_eq!(a.config, b.config);
             assert!((a.ipt - b.ipt).abs() == 0.0, "observation must not perturb");
         }
         let steps = steps.lock().unwrap();
-        // Three starts per workload, `iterations` steps per start, plus
-        // any re-anneal steps.
-        let base = 2 * 3 * opts.anneal.iterations as usize;
-        assert!(steps.len() >= base, "{} < {base}", steps.len());
-        assert!(steps.iter().any(|(w, _, _)| w == "gzip"));
-        assert!(
-            steps.iter().any(|(_, s, _)| *s == 2),
-            "corner starts tagged"
-        );
-        assert!(steps
+        let done = done.lock().unwrap();
+        // Every task reports its completion, each under its own key.
+        let rec = &observed.stats.recovery;
+        assert_eq!(done.len() as u64, rec.executed + rec.salvaged);
+        let mut keys = done.clone();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), done.len(), "one TaskDone per task");
+        assert_eq!(done.iter().filter(|k| k.starts_with("anneal#")).count(), 6);
+        // Each multi-start walk streams `iterations` steps tagged with
+        // its start index; every re-anneal streams its own, tagged 0.
+        let (walks, reanneals): (Vec<&Step>, Vec<&Step>) = steps
             .iter()
-            .all(|(_, _, it)| *it >= 1 && *it <= opts.anneal.iterations));
+            .partition(|(_, _, _, n)| *n == opts.anneal.iterations);
+        for w in ["gzip", "mcf"] {
+            for start in 0..3 {
+                let n = walks
+                    .iter()
+                    .filter(|(wl, s, _, _)| wl == w && *s == start)
+                    .count();
+                assert_eq!(n, opts.anneal.iterations as usize, "{w} start {start}");
+            }
+        }
+        assert!(reanneals.iter().all(|(_, s, it, n)| {
+            *s == 0 && *n == opts.reanneal_iterations && (1..=*n).contains(it)
+        }));
+        let reanneal_tasks = done.iter().filter(|k| k.starts_with("reanneal#")).count();
+        assert!(reanneal_tasks > 0, "the run re-anneals at least once");
+        assert_eq!(
+            reanneals.len(),
+            reanneal_tasks * opts.reanneal_iterations as usize
+        );
     }
 
     #[test]
@@ -611,12 +576,12 @@ mod tests {
         let serial = {
             let mut o = opts.clone();
             o.jobs = 1;
-            Campaign::new(o).explore(&profiles)
+            run_campaign(o, &profiles)
         };
         let parallel = {
             let mut o = opts.clone();
             o.jobs = 4;
-            Campaign::new(o).explore(&profiles)
+            run_campaign(o, &profiles)
         };
         assert_eq!(serial.adoptions, parallel.adoptions);
         for (s, p) in serial.cores.iter().zip(&parallel.cores) {

@@ -12,7 +12,7 @@
 //! * honesty about cost — [`GridSpec::len`] makes the combinatorial
 //!   explosion the paper talks about a number you can print.
 
-use crate::anneal::{score_with, AnnealOptions};
+use crate::anneal::{score, AnnealOptions};
 use crate::cache::EvalCache;
 use crate::parallel::run_parallel;
 use crate::point::DesignPoint;
@@ -108,7 +108,14 @@ pub struct GridResult {
 }
 
 /// Exhaustively evaluate the lattice for one workload and return the
-/// best point.
+/// best point, fanned out over `jobs` workers (0 = available
+/// parallelism) and memoized in `cache`, so a grid baseline shared
+/// across workloads or repeated after exploration never re-simulates a
+/// lattice point.
+///
+/// Lattice points are evaluated in parallel but merged in lattice
+/// order with the serial tie-break (first of equals wins), so the
+/// result is identical for every worker count.
 ///
 /// # Panics
 ///
@@ -118,35 +125,14 @@ pub fn grid_search(
     spec: &GridSpec,
     opts: &AnnealOptions,
     tech: &Technology,
-) -> GridResult {
-    grid_search_with(profile, spec, opts, tech, 1, None)
-}
-
-/// [`grid_search`] fanned out over `jobs` workers (0 = available
-/// parallelism), optionally memoizing evaluations in `cache` so a grid
-/// baseline shared across workloads or repeated after exploration never
-/// re-simulates a lattice point.
-///
-/// Lattice points are evaluated in parallel but merged in lattice
-/// order with the serial tie-break (first of equals wins), so the
-/// result is identical for every worker count.
-///
-/// # Panics
-///
-/// Panics if the grid is empty or no lattice point realizes.
-pub fn grid_search_with(
-    profile: &WorkloadProfile,
-    spec: &GridSpec,
-    opts: &AnnealOptions,
-    tech: &Technology,
     jobs: usize,
-    cache: Option<&EvalCache>,
+    cache: &EvalCache,
 ) -> GridResult {
     assert!(!spec.is_empty(), "grid must have at least one point");
     let points = spec.points();
     let fan = run_parallel(jobs, points.len(), |i| {
         points[i].realize(tech, &profile.name).map(|cfg| {
-            let s = score_with(
+            let s = score(
                 profile,
                 &cfg,
                 opts.eval_ops_late,
@@ -212,7 +198,7 @@ mod tests {
         let p = spec::profile("gzip").expect("gzip exists");
         let mut opts = AnnealOptions::quick();
         opts.eval_ops_late = 20_000;
-        let r = grid_search(&p, &tiny_grid(), &opts, &tech);
+        let r = grid_search(&p, &tiny_grid(), &opts, &tech, 1, &EvalCache::new());
         assert!(r.score > 0.0);
         assert_eq!(r.evaluated + r.unrealizable, 8);
         r.config.validate().expect("grid optimum is valid");
@@ -228,8 +214,9 @@ mod tests {
         opts.iterations = 120;
         opts.eval_ops_late = 20_000;
         opts.eval_ops_early = 10_000;
-        let grid = grid_search(&p, &GridSpec::default(), &opts, &tech);
-        let annealed = anneal(&p, &DesignPoint::initial(), &opts, &tech);
+        let cache = EvalCache::new();
+        let grid = grid_search(&p, &GridSpec::default(), &opts, &tech, 1, &cache);
+        let annealed = anneal(&p, &DesignPoint::initial(), &opts, &tech, &cache, None);
         assert!(
             annealed.ipt > grid.score * 0.9,
             "annealing ({}) must come close to the lattice optimum ({})",
@@ -244,16 +231,16 @@ mod tests {
         let p = spec::profile("mcf").expect("mcf exists");
         let mut opts = AnnealOptions::quick();
         opts.eval_ops_late = 10_000;
-        let serial = grid_search(&p, &tiny_grid(), &opts, &tech);
+        let serial = grid_search(&p, &tiny_grid(), &opts, &tech, 1, &EvalCache::new());
         let cache = EvalCache::new();
-        let par = grid_search_with(&p, &tiny_grid(), &opts, &tech, 4, Some(&cache));
+        let par = grid_search(&p, &tiny_grid(), &opts, &tech, 4, &cache);
         assert_eq!(serial.point, par.point);
         assert_eq!(serial.config, par.config);
         assert!((serial.score - par.score).abs() == 0.0);
         // A second sweep over the same lattice is served entirely from
         // the cache.
         let misses = cache.counters().misses;
-        let again = grid_search_with(&p, &tiny_grid(), &opts, &tech, 2, Some(&cache));
+        let again = grid_search(&p, &tiny_grid(), &opts, &tech, 2, &cache);
         assert_eq!(again.point, serial.point);
         assert_eq!(cache.counters().misses, misses);
         assert!(cache.counters().hits >= misses);
@@ -268,6 +255,6 @@ mod tests {
             clocks: vec![],
             ..GridSpec::default()
         };
-        grid_search(&p, &g, &AnnealOptions::quick(), &tech);
+        grid_search(&p, &g, &AnnealOptions::quick(), &tech, 1, &EvalCache::new());
     }
 }

@@ -33,17 +33,27 @@
 //! comparable head-to-head at equal simulation budgets (`repro
 //! bakeoff`).
 //!
+//! Every operation has one entry point — [`score`], [`anneal`],
+//! [`grid_search`], [`Campaign::explore_recoverable`] — that takes the
+//! shared [`EvalCache`] explicitly; the campaign additionally runs its
+//! tasks through a [`RunContext`] (journal, faults, retries, trace,
+//! dispatcher, progress observer).
+//!
 //! ## Example
 //!
 //! ```no_run
-//! use xps_explore::{ExploreOptions, Campaign};
+//! use xps_explore::{Campaign, EvalCache, ExploreOptions, RunContext};
 //! use xps_workload::spec;
 //!
-//! let explorer = Campaign::new(ExploreOptions::quick());
-//! let result = explorer.explore(&spec::all_profiles());
+//! # fn main() -> Result<(), xps_explore::ExploreError> {
+//! let campaign = Campaign::try_new(ExploreOptions::quick())?;
+//! let ctx = RunContext::from_env()?;
+//! let result = campaign.explore_recoverable(&spec::all_profiles(), &EvalCache::new(), &ctx)?;
 //! for core in &result.cores {
 //!     println!("{}: {:.2} IPT @ {:.2} ns", core.profile.name, core.ipt, core.config.clock_ns);
 //! }
+//! # Ok(())
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,14 +73,12 @@ mod search;
 mod stats;
 mod task;
 
-pub use anneal::{
-    anneal, anneal_observed, anneal_with, score, score_with, AnnealOptions, AnnealResult, Objective,
-};
+pub use anneal::{anneal, score, AnnealOptions, AnnealResult, Objective};
 pub use cache::{CacheCounters, EvalCache};
 pub use error::{ExploreError, TaskError, TaskFailure};
 pub use explorer::{Campaign, CustomizedCore, ExplorationResult, ExploreOptions, ExploreStats};
 pub use fault::{FaultKind, FaultPlan};
-pub use grid::{grid_search, grid_search_with, GridResult, GridSpec};
+pub use grid::{grid_search, GridResult, GridSpec};
 pub use journal::{fnv64, write_atomic, Journal, JournalError};
 pub use parallel::{merge_counts, resolve_jobs, run_parallel, ParallelRun};
 pub use point::DesignPoint;
@@ -80,7 +88,7 @@ pub use search::{
     GeneticExplorer, Probe, SearchOptions, SearchOutcome, SurrogateExplorer, EXPLORER_NAMES,
 };
 pub use stats::EngineStats;
-pub use task::{TaskDispatcher, TaskKind, TaskSpec};
+pub use task::{TaskDispatcher, TaskKind, TaskSpec, MAX_TASK_OPS};
 pub use xps_trace::{ProgressEvent, ProgressSink};
 
 /// Re-exported fixed design constants (the paper's Table 2).

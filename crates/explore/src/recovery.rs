@@ -177,7 +177,8 @@ impl RunContext {
     }
 
     /// Attach a progress observer, called once per finished task
-    /// (executed or journal-salvaged). Observational only: results are
+    /// (executed or journal-salvaged) and, in a campaign, once per
+    /// annealing iteration. Observational only: results are
     /// bit-identical with or without an observer.
     pub fn with_observer(mut self, observer: ProgressSink) -> RunContext {
         self.observer = Some(observer);
@@ -204,6 +205,12 @@ impl RunContext {
     pub fn with_dispatcher(mut self, dispatcher: Arc<dyn TaskDispatcher>) -> RunContext {
         self.dispatcher = Some(dispatcher);
         self
+    }
+
+    /// The attached progress observer, if any. Campaigns also stream
+    /// their annealing steps to it.
+    pub fn observer(&self) -> Option<&ProgressSink> {
+        self.observer.as_ref()
     }
 
     /// The attached trace sink, if any.
@@ -266,39 +273,23 @@ impl RunContext {
     /// fresh fan sequence number, so keys are unique and reproducible
     /// across a resumed run.
     ///
-    /// # Errors
-    ///
-    /// Only journal problems (unreadable record, failed persist) abort
-    /// the fan — task failures are per-item by design.
-    pub fn run_fan<T, F>(
-        &self,
-        jobs: usize,
-        label: &str,
-        n: usize,
-        f: F,
-    ) -> Result<FanOutcome<T>, ExploreError>
-    where
-        T: Send + Serialize + Deserialize,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_fan_tasks(jobs, label, n, |_| None, f)
-    }
-
-    /// [`run_fan`](RunContext::run_fan) for fans whose items can
-    /// describe themselves as wire-format [`TaskSpec`]s: when a
-    /// dispatcher is attached, each missing item is first offered to
-    /// it (`describe(i)` → [`TaskDispatcher::dispatch`]); a successful
-    /// dispatch's body is decoded as the item value, and any decline
-    /// or decode failure falls back to the local closure `f`. Without
-    /// a dispatcher — or when `describe` returns `None` — this is
-    /// exactly `run_fan`. Journaling, retries, cancellation, and
-    /// result ordering are identical either way, which is what keeps a
-    /// fleet-gathered campaign byte-identical to a single-node run.
+    /// Items that can describe themselves as wire-format [`TaskSpec`]s
+    /// may be relocated: when a dispatcher is attached, each missing
+    /// item is first offered to it (`describe(i)` →
+    /// [`TaskDispatcher::dispatch`]); a successful dispatch's body is
+    /// decoded as the item value, and any decline or decode failure
+    /// falls back to the local closure `f`. An item whose `describe`
+    /// returns `None` always runs locally. Journaling, retries,
+    /// cancellation, and result ordering are identical either way,
+    /// which is what keeps a fleet-gathered campaign byte-identical to
+    /// a single-node run.
     ///
     /// # Errors
     ///
-    /// As [`run_fan`](RunContext::run_fan): only journal problems.
-    pub fn run_fan_tasks<T, F, D>(
+    /// Only journal problems (unreadable record, failed persist) and
+    /// cancellation abort the fan — task failures are per-item by
+    /// design.
+    pub fn run_fan<T, F, D>(
         &self,
         jobs: usize,
         label: &str,
@@ -325,7 +316,7 @@ impl RunContext {
     /// cell is a constant `None` item (the cross-seeding diagonal), a
     /// `Some` cell measures its configuration on its workload through
     /// `cache`. Item for item this is the
-    /// [`run_fan_tasks`](RunContext::run_fan_tasks) fan of
+    /// [`run_fan`](RunContext::run_fan) fan of
     /// `TaskSpec::eval` descriptions over `cache.ipt` closures — same
     /// journal keys and records, dispatch, fault-injection attempts,
     /// retries and per-cell trace events — but the cells that run
@@ -334,7 +325,7 @@ impl RunContext {
     /// and simulated by `EvalCache::stats_batch`), so a trace is
     /// produced once per batch instead of once per cell.
     ///
-    /// A cell runs alone, exactly as in `run_fan_tasks`, when a
+    /// A cell runs alone, exactly as in `run_fan`, when a
     /// dispatcher is attached (every cell is offered to it), when the
     /// fault plan injects into its first attempt, or when its batch
     /// panics (every cell of the batch then re-runs on its own,
@@ -600,28 +591,13 @@ impl RunContext {
     }
 
     /// [`run_fan`](RunContext::run_fan) for a single inline task (the
-    /// re-anneal after a cross-seeding adoption).
+    /// re-anneal after a cross-seeding adoption), with its wire
+    /// description so an attached dispatcher can relocate it too.
     ///
     /// # Errors
     ///
     /// As [`run_fan`](RunContext::run_fan): only journal problems.
-    pub fn run_task<T, F>(&self, label: &str, f: F) -> Result<Result<T, TaskError>, ExploreError>
-    where
-        T: Send + Serialize + Deserialize,
-        F: Fn() -> T + Sync,
-    {
-        let mut fan = self.run_fan(1, label, 1, |_| f())?;
-        // xps-allow(no-unwrap-in-lib): run_fan(1, ..) returns exactly one item on success
-        Ok(fan.items.pop().expect("one item"))
-    }
-
-    /// [`run_task`](RunContext::run_task) with a wire description, so
-    /// an attached dispatcher can relocate the single task too.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_fan`](RunContext::run_fan): only journal problems.
-    pub fn run_task_described<T, F>(
+    pub fn run_task<T, F>(
         &self,
         label: &str,
         spec: TaskSpec,
@@ -631,8 +607,8 @@ impl RunContext {
         T: Send + Serialize + Deserialize,
         F: Fn() -> T + Sync,
     {
-        let mut fan = self.run_fan_tasks(1, label, 1, |_| Some(spec.clone()), |_| f())?;
-        // xps-allow(no-unwrap-in-lib): run_fan_tasks(1, ..) returns exactly one item on success
+        let mut fan = self.run_fan(1, label, 1, |_| Some(spec.clone()), |_| f())?;
+        // xps-allow(no-unwrap-in-lib): run_fan(1, ..) returns exactly one item on success
         Ok(fan.items.pop().expect("one item"))
     }
 
@@ -759,6 +735,22 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::atomic::AtomicUsize;
 
+    /// A fan whose items never describe themselves, so they always run
+    /// locally.
+    fn local_fan<T, F>(
+        ctx: &RunContext,
+        jobs: usize,
+        label: &str,
+        n: usize,
+        f: F,
+    ) -> Result<FanOutcome<T>, ExploreError>
+    where
+        T: Send + Serialize + Deserialize,
+        F: Fn(usize) -> T + Sync,
+    {
+        ctx.run_fan(jobs, label, n, |_| None, f)
+    }
+
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("xps-recovery-tests");
         std::fs::create_dir_all(&dir).expect("temp dir");
@@ -768,7 +760,7 @@ mod tests {
     #[test]
     fn clean_fan_matches_direct_evaluation() {
         let ctx = RunContext::new();
-        let fan = ctx.run_fan(3, "sq", 10, |i| (i * i) as u64).expect("fan");
+        let fan = local_fan(&ctx, 3, "sq", 10, |i| (i * i) as u64).expect("fan");
         let values: Vec<u64> = fan.items.into_iter().map(|r| r.expect("ok")).collect();
         assert_eq!(values, (0..10).map(|i| (i * i) as u64).collect::<Vec<_>>());
         let s = ctx.stats();
@@ -781,7 +773,7 @@ mod tests {
         let ctx = RunContext::new()
             .with_faults(FaultPlan::rate(100, 0, 2, FaultKind::Panic))
             .with_retries(2);
-        let fan = ctx.run_fan(2, "t", 6, |i| i as u64).expect("fan");
+        let fan = local_fan(&ctx, 2, "t", 6, |i| i as u64).expect("fan");
         for (i, r) in fan.items.iter().enumerate() {
             assert_eq!(*r.as_ref().expect("third attempt succeeds"), i as u64);
         }
@@ -797,7 +789,7 @@ mod tests {
         let ctx = RunContext::new()
             .with_faults(FaultPlan::targets(["t#0/2"], u32::MAX, FaultKind::Panic))
             .with_retries(1);
-        let fan = ctx.run_fan(2, "t", 5, |i| i as u64).expect("fan");
+        let fan = local_fan(&ctx, 2, "t", 5, |i| i as u64).expect("fan");
         for (i, r) in fan.items.iter().enumerate() {
             if i == 2 {
                 let e = r.as_ref().expect_err("task 2 fails permanently");
@@ -815,7 +807,7 @@ mod tests {
         let ctx = RunContext::new()
             .with_faults(FaultPlan::targets(["t#0/0"], u32::MAX, FaultKind::Error))
             .with_retries(0);
-        let fan = ctx.run_fan(1, "t", 1, |i| i as u64).expect("fan");
+        let fan = local_fan(&ctx, 1, "t", 1, |i| i as u64).expect("fan");
         let e = fan.items[0].as_ref().expect_err("fails");
         assert!(matches!(e.failure, TaskFailure::Failed(_)));
     }
@@ -827,12 +819,11 @@ mod tests {
         {
             let journal = Journal::create(&path).expect("create");
             let ctx = RunContext::new().with_journal(journal);
-            let fan = ctx
-                .run_fan(2, "v", 8, |i| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    i as f64 + 0.5
-                })
-                .expect("fan");
+            let fan = local_fan(&ctx, 2, "v", 8, |i| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                i as f64 + 0.5
+            })
+            .expect("fan");
             assert_eq!(fan.items.len(), 8);
             assert_eq!(calls.load(Ordering::Relaxed), 8);
         }
@@ -840,12 +831,11 @@ mod tests {
         let journal = Journal::open(&path).expect("open");
         assert_eq!(journal.loaded(), 8);
         let ctx = RunContext::new().with_journal(journal);
-        let fan = ctx
-            .run_fan(2, "v", 8, |i| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                i as f64 + 0.5
-            })
-            .expect("fan");
+        let fan = local_fan(&ctx, 2, "v", 8, |i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            i as f64 + 0.5
+        })
+        .expect("fan");
         assert_eq!(calls.load(Ordering::Relaxed), 8, "no task re-ran");
         for (i, r) in fan.items.iter().enumerate() {
             assert_eq!(*r.as_ref().expect("ok"), i as f64 + 0.5);
@@ -863,7 +853,7 @@ mod tests {
             .with_journal(journal)
             .with_faults(FaultPlan::targets(["w#0/1"], u32::MAX, FaultKind::Panic))
             .with_retries(0);
-        let fan = ctx.run_fan(1, "w", 3, |i| i as u64).expect("fan");
+        let fan = local_fan(&ctx, 1, "w", 3, |i| i as u64).expect("fan");
         assert!(fan.items[1].is_err());
         let journal = Journal::open(&path).expect("open");
         assert_eq!(journal.loaded(), 2, "only the two successes persist");
@@ -880,15 +870,14 @@ mod tests {
             let ctx = RunContext::new()
                 .with_journal(Journal::create(&path).expect("create"))
                 .with_cancel(cancel.clone());
-            let err = ctx
-                .run_fan(1, "c", 6, |i| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    if i == 2 {
-                        cancel.store(true, Ordering::Relaxed);
-                    }
-                    i as u64
-                })
-                .expect_err("cancelled mid-fan");
+            let err = local_fan(&ctx, 1, "c", 6, |i| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                if i == 2 {
+                    cancel.store(true, Ordering::Relaxed);
+                }
+                i as u64
+            })
+            .expect_err("cancelled mid-fan");
             assert!(matches!(err, ExploreError::Cancelled));
             // One worker runs items in order: 0, 1, 2 complete, the
             // flag flips during 2, and 3..6 are skipped.
@@ -898,12 +887,11 @@ mod tests {
         }
         // Resume without the flag: only the skipped tasks execute.
         let ctx = RunContext::new().with_journal(Journal::open(&path).expect("open"));
-        let fan = ctx
-            .run_fan(1, "c", 6, |i| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                i as u64
-            })
-            .expect("resumed fan");
+        let fan = local_fan(&ctx, 1, "c", 6, |i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            i as u64
+        })
+        .expect("resumed fan");
         for (i, r) in fan.items.iter().enumerate() {
             assert_eq!(*r.as_ref().expect("ok"), i as u64);
         }
@@ -916,9 +904,7 @@ mod tests {
     fn already_cancelled_context_refuses_new_fans() {
         let cancel = Arc::new(AtomicBool::new(true));
         let ctx = RunContext::new().with_cancel(cancel);
-        let err = ctx
-            .run_fan(2, "c", 4, |i| i as u64)
-            .expect_err("refused up front");
+        let err = local_fan(&ctx, 2, "c", 4, |i| i as u64).expect_err("refused up front");
         assert!(matches!(err, ExploreError::Cancelled));
         assert_eq!(ctx.stats().executed, 0);
     }
@@ -939,12 +925,12 @@ mod tests {
             let ctx = RunContext::new()
                 .with_journal(Journal::create(&path).expect("create"))
                 .with_observer(sink.clone());
-            ctx.run_fan(1, "o", 2, |i| i as u64).expect("fan");
+            local_fan(&ctx, 1, "o", 2, |i| i as u64).expect("fan");
         }
         let ctx = RunContext::new()
             .with_journal(Journal::open(&path).expect("open"))
             .with_observer(sink);
-        ctx.run_fan(1, "o", 2, |i| i as u64).expect("fan");
+        local_fan(&ctx, 1, "o", 2, |i| i as u64).expect("fan");
         let events = seen.lock().unwrap().clone();
         assert_eq!(events.len(), 4);
         assert!(events[..2].iter().all(|(_, salvaged)| !*salvaged));
@@ -992,7 +978,7 @@ mod tests {
                 ctx = ctx.with_dispatcher(d);
             }
             let fan = ctx
-                .run_fan_tasks(
+                .run_fan(
                     2,
                     "cell",
                     4,
@@ -1027,7 +1013,7 @@ mod tests {
             let profile = xps_workload::spec::profile("gzip").expect("gzip exists");
             let config = xps_sim::CoreConfig::initial();
             let fan = ctx
-                .run_fan_tasks(
+                .run_fan(
                     1,
                     "cell",
                     3,
@@ -1046,7 +1032,7 @@ mod tests {
         let dispatcher = Arc::new(InProcessDispatcher::default());
         let ctx = RunContext::new().with_dispatcher(dispatcher.clone());
         let fan = ctx
-            .run_fan_tasks(2, "plain", 5, |_| None, |i| i as u64)
+            .run_fan(2, "plain", 5, |_| None, |i| i as u64)
             .expect("fan");
         assert_eq!(fan.items.len(), 5);
         assert_eq!(dispatcher.served.load(Ordering::Relaxed), 0);
@@ -1056,14 +1042,24 @@ mod tests {
     #[test]
     fn fan_sequence_distinguishes_same_label() {
         let ctx = RunContext::new();
-        let a = ctx.run_task("x", || 1u64).expect("fan").expect("ok");
-        let b = ctx.run_task("x", || 2u64).expect("fan").expect("ok");
+        let a = ctx
+            .run_task("x", eval_spec(1), || 1u64)
+            .expect("fan")
+            .expect("ok");
+        let b = ctx
+            .run_task("x", eval_spec(1), || 2u64)
+            .expect("fan")
+            .expect("ok");
         assert_eq!((a, b), (1, 2));
         // With a journal the two calls must land on distinct keys.
         let path = tmp("fan-seq");
         let ctx = RunContext::new().with_journal(Journal::create(&path).expect("create"));
-        ctx.run_task("x", || 1u64).expect("fan").expect("ok");
-        ctx.run_task("x", || 2u64).expect("fan").expect("ok");
+        ctx.run_task("x", eval_spec(1), || 1u64)
+            .expect("fan")
+            .expect("ok");
+        ctx.run_task("x", eval_spec(1), || 2u64)
+            .expect("fan")
+            .expect("ok");
         assert_eq!(ctx.journal().expect("journal").len(), 2);
         let _ = std::fs::remove_file(&path);
     }

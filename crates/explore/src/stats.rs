@@ -61,7 +61,7 @@ mod tests {
     fn snapshot_reflects_cache_and_context() {
         let cache = EvalCache::new();
         let ctx = RunContext::new();
-        let fan = ctx.run_fan(1, "t", 3, |i| i as u64).expect("fan");
+        let fan = ctx.run_fan(1, "t", 3, |_| None, |i| i as u64).expect("fan");
         assert_eq!(fan.items.len(), 3);
         let s = EngineStats::snapshot(&cache, &ctx);
         assert_eq!(s.cache, cache.counters());
@@ -74,10 +74,10 @@ mod tests {
         let path = tmp("replay");
         {
             let ctx = RunContext::new().with_journal(Journal::create(&path).expect("create"));
-            ctx.run_fan(1, "t", 2, |i| i as u64).expect("fan");
+            ctx.run_fan(1, "t", 2, |_| None, |i| i as u64).expect("fan");
         }
         let ctx = RunContext::new().with_journal(Journal::open(&path).expect("open"));
-        ctx.run_fan(1, "t", 2, |i| i as u64).expect("fan");
+        ctx.run_fan(1, "t", 2, |_| None, |i| i as u64).expect("fan");
         let s = EngineStats::snapshot(&EvalCache::new(), &ctx);
         assert_eq!(s.recovery.salvaged, 2);
         assert_eq!(s.journal_records, 2);

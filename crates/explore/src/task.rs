@@ -21,7 +21,7 @@
 //!
 //! [`RunContext`]: crate::recovery::RunContext
 
-use crate::anneal::{anneal_with, AnnealOptions};
+use crate::anneal::{anneal, AnnealOptions};
 use crate::cache::EvalCache;
 use crate::point::DesignPoint;
 use crate::search::{explorer_by_name, SearchOptions};
@@ -29,6 +29,13 @@ use serde::{Deserialize, Serialize};
 use xps_cacti::Technology;
 use xps_sim::CoreConfig;
 use xps_workload::WorkloadProfile;
+
+/// The most micro-ops one task may simulate. [`TaskSpec::execute`]
+/// refuses a spec whose bound exceeds it before simulating anything, so
+/// a hostile or mistyped spec cannot pin a worker for hours. The
+/// largest task any in-repo caller sends is the full profile's anneal,
+/// (260 + 2) × 400k ≈ 105M ops; this leaves about tenfold headroom.
+pub const MAX_TASK_OPS: u64 = 1_000_000_000;
 
 /// Which pipeline task a [`TaskSpec`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -144,6 +151,25 @@ impl TaskSpec {
         serde_json::to_string(self).expect("task specs serialize to JSON")
     }
 
+    /// An upper bound on the micro-ops this task simulates (0 when its
+    /// payload is missing). Saturating, so hostile values cannot
+    /// overflow.
+    fn op_bound(&self) -> u64 {
+        match self.kind {
+            TaskKind::Eval => self.ops,
+            // The start, every iteration, and the final measurement.
+            TaskKind::Anneal => self.opts.as_ref().map_or(0, |o| {
+                u64::from(o.iterations)
+                    .saturating_add(2)
+                    .saturating_mul(o.eval_ops_early.max(o.eval_ops_late))
+            }),
+            TaskKind::Search => self
+                .search
+                .as_ref()
+                .map_or(0, |o| o.budget.saturating_mul(o.eval_ops)),
+        }
+    }
+
     /// Run the task and serialize its result — the exact JSON the
     /// local fan closure's result would journal, so a dispatched
     /// result deserializes into the identical in-memory value.
@@ -151,10 +177,17 @@ impl TaskSpec {
     /// # Errors
     ///
     /// Returns a one-line description when the spec is incoherent
-    /// (missing payload for its kind) or invalid (bad annealing
-    /// options). Execution itself is infallible: the engine is total
-    /// over validated inputs.
+    /// (missing payload for its kind), invalid (bad annealing
+    /// options), or would simulate more than [`MAX_TASK_OPS`].
+    /// Execution itself is infallible: the engine is total over
+    /// validated inputs.
     pub fn execute(&self, cache: &EvalCache) -> Result<String, String> {
+        let bound = self.op_bound();
+        if bound > MAX_TASK_OPS {
+            return Err(format!(
+                "task would simulate up to {bound} ops; the limit is {MAX_TASK_OPS}"
+            ));
+        }
         match self.kind {
             TaskKind::Anneal => {
                 let (Some(start), Some(opts), Some(tech)) = (&self.start, &self.opts, &self.tech)
@@ -162,7 +195,7 @@ impl TaskSpec {
                     return Err("anneal task missing start/opts/tech".into());
                 };
                 opts.validate().map_err(|e| e.to_string())?;
-                let result = anneal_with(&self.profile, start, opts, tech, Some(cache));
+                let result = anneal(&self.profile, start, opts, tech, cache, None);
                 // xps-allow(no-unwrap-in-lib): task results are plain data structs; serialization cannot fail
                 Ok(serde_json::to_string(&result).expect("task results serialize to JSON"))
             }
@@ -261,7 +294,7 @@ mod tests {
         let start = DesignPoint::initial();
         let t = TaskSpec::anneal(&gzip(), &start, &opts, &tech);
         let remote = t.execute(&cache).expect("executes");
-        let local = anneal_with(&gzip(), &start, &opts, &tech, Some(&cache));
+        let local = anneal(&gzip(), &start, &opts, &tech, &cache, None);
         let expected = serde_json::to_string(&local).expect("serializes");
         assert_eq!(remote, expected, "remote anneal is byte-identical");
     }
@@ -320,5 +353,61 @@ mod tests {
         let mut z = TaskSpec::eval(&gzip(), &CoreConfig::initial(), 0);
         z.ops = 0;
         assert!(z.execute(&EvalCache::new()).is_err());
+    }
+
+    #[test]
+    fn over_bound_eval_is_refused_before_simulating() {
+        let cache = EvalCache::new();
+        let t = TaskSpec::eval(&gzip(), &CoreConfig::initial(), MAX_TASK_OPS + 1);
+        let err = t.execute(&cache).expect_err("over the bound");
+        assert!(err.contains("limit"), "{err}");
+        assert_eq!(cache.counters().misses, 0, "nothing simulated");
+        let at = TaskSpec::eval(&gzip(), &CoreConfig::initial(), MAX_TASK_OPS);
+        assert_eq!(at.op_bound(), MAX_TASK_OPS);
+    }
+
+    #[test]
+    fn over_bound_anneal_is_refused_without_overflow() {
+        let mut opts = AnnealOptions::quick();
+        opts.iterations = u32::MAX;
+        opts.eval_ops_late = u64::MAX;
+        let t = TaskSpec::anneal(
+            &gzip(),
+            &DesignPoint::initial(),
+            &opts,
+            &Technology::default(),
+        );
+        assert_eq!(t.op_bound(), u64::MAX, "saturates");
+        assert!(t.execute(&EvalCache::new()).is_err());
+        // The full profile's anneal, the largest task any caller sends,
+        // stays under the bound.
+        let full = TaskSpec::anneal(
+            &gzip(),
+            &DesignPoint::initial(),
+            &AnnealOptions::default(),
+            &Technology::default(),
+        );
+        assert_eq!(full.op_bound(), 262 * 400_000);
+        assert!(full.op_bound() < MAX_TASK_OPS);
+    }
+
+    #[test]
+    fn over_bound_search_is_refused_without_overflow() {
+        let opts = SearchOptions {
+            budget: u64::MAX,
+            eval_ops: 2,
+            seed: 1,
+        };
+        let t = TaskSpec::search(&gzip(), "anneal", &opts, &Technology::default());
+        assert_eq!(t.op_bound(), u64::MAX, "saturates");
+        let err = t.execute(&EvalCache::new()).expect_err("over the bound");
+        assert!(err.contains("limit"), "{err}");
+        let ok = TaskSpec::search(
+            &gzip(),
+            "anneal",
+            &SearchOptions::default(),
+            &Technology::default(),
+        );
+        assert!(ok.op_bound() < MAX_TASK_OPS);
     }
 }

@@ -5,7 +5,7 @@
 use std::sync::{Arc, Mutex, PoisonError};
 use xps_cacti::Technology;
 use xps_explore::{
-    anneal_observed, AnnealOptions, DesignPoint, ExploreError, ProgressEvent, ProgressSink,
+    anneal, AnnealOptions, DesignPoint, EvalCache, ExploreError, ProgressEvent, ProgressSink,
 };
 use xps_trace::{with_recorder, AttrValue, Event, EventKind, SpanRecorder};
 use xps_workload::spec;
@@ -43,13 +43,13 @@ fn run_walk(opts: &AnnealOptions) -> (Vec<(u32, f64, f64)>, Vec<Event>) {
     };
     let tech = Technology::default();
     let (rec, _result) = with_recorder(SpanRecorder::new(), || {
-        anneal_observed(
+        anneal(
             &profile,
             &DesignPoint::initial(),
             opts,
             &tech,
-            None,
-            Some(&sink),
+            &EvalCache::new(),
+            Some((&sink, 0)),
         )
     });
     let steps = steps.lock().unwrap_or_else(PoisonError::into_inner).clone();

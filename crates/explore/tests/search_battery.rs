@@ -136,7 +136,7 @@ fn dispatched_searches_match_local_searches_byte_for_byte() {
             ctx = ctx.with_dispatcher(d);
         }
         let fan = ctx
-            .run_fan_tasks(
+            .run_fan(
                 2,
                 "battery",
                 EXPLORER_NAMES.len(),

@@ -24,7 +24,7 @@ fn traced_run(jobs: usize) -> String {
     let trace = TraceSink::new();
     let ctx = RunContext::new().with_trace(trace.clone());
     let cache = EvalCache::new();
-    let explorer = Campaign::new(opts);
+    let explorer = Campaign::try_new(opts).expect("valid options");
     let (root, result) = with_recorder(trace.recorder(), || {
         explorer.explore_recoverable(&profiles, &cache, &ctx)
     });

@@ -309,7 +309,7 @@ pub fn run_bakeoff(
     // Each search is a pure function of its spec, so the fan is
     // dispatchable and journal-resumable.
     let fan = ctx
-        .run_fan_tasks(
+        .run_fan(
             opts.jobs,
             "bakeoff",
             n,

@@ -359,9 +359,7 @@ pub fn run_study(
         let panel_span = trace::span("scale.panel");
 
         let campaign_span = trace::span("scale.campaign");
-        let result = opts
-            .pipeline
-            .run_recoverable_with(members, ctx, &cache, None)?;
+        let result = opts.pipeline.run(members, &cache, ctx)?;
         campaign_span.end_with(|| trace::attr("workloads", members.len()));
 
         let char_span = trace::span("scale.characterize");

@@ -450,11 +450,11 @@ impl Engine {
             .map_err(|e| ServeError::Pipeline(PipelineError::from(e)))?
             .with_journal(journal)
             .with_cancel(self.cancel.clone())
-            .with_observer(sink.clone())
+            .with_observer(sink)
             .with_trace(trace.clone());
         let pipeline = request.profile.pipeline(self.pipeline_jobs);
         let (root, result) = with_recorder(trace.recorder(), || {
-            pipeline.run_recoverable_with(&profiles, &ctx, &self.cache, Some(&sink))
+            pipeline.run(&profiles, &self.cache, &ctx)
         });
         trace.attach("main", root);
         let result = result?;

@@ -451,7 +451,7 @@ pub fn run_campaign_with_fleet(
         .map_err(|e| ServeError::Pipeline(PipelineError::from(e)))?
         .with_dispatcher(fleet.clone());
     let pipeline = profile.pipeline(jobs);
-    let result = pipeline.run_recoverable_with(&profiles, &ctx, &cache, None)?;
+    let result = pipeline.run(&profiles, &cache, &ctx)?;
     let document = campaign_document(&names, &result);
     let request = JobRequest {
         question: Question::Explore,

@@ -348,6 +348,34 @@ fn deeply_nested_body_is_rejected_and_the_daemon_survives() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A task spec whose simulated-op bound exceeds the limit is refused
+/// with a typed 400 before any simulation, and the daemon keeps
+/// serving.
+#[test]
+fn over_bound_task_is_rejected_and_the_daemon_survives() {
+    use xps_core::explore::{AnnealOptions, DesignPoint, TaskSpec, MAX_TASK_OPS};
+    let dir = data_dir("over-bound");
+    let daemon = start(&dir);
+    let addr = daemon.addr.clone();
+    let gzip = xps_core::workload::spec::profile("gzip").expect("known benchmark");
+    let mut opts = AnnealOptions::quick();
+    opts.iterations = u32::MAX;
+    opts.eval_ops_late = MAX_TASK_OPS;
+    let spec = TaskSpec::anneal(
+        &gzip,
+        &DesignPoint::initial(),
+        &opts,
+        &xps_core::cacti::Technology::default(),
+    );
+    let resp = client::request(&addr, "POST", "/tasks", Some(&spec.canonical())).expect("responds");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("limit"), "{}", resp.body);
+    let health = client::request(&addr, "GET", "/healthz", None).expect("still serving");
+    assert_eq!(health.status, 200);
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn queue_overflow_returns_429() {
     let dir = data_dir("backpressure");

@@ -11,10 +11,10 @@
 //! both notions of distance on this repository's own substrate (takes
 //! a minute or two: each annealing step is a timing simulation).
 
-use xpscalar::explore::{Campaign, ExploreOptions};
+use xpscalar::explore::{Campaign, EvalCache, ExploreError, ExploreOptions, RunContext};
 use xpscalar::workload::{spec, Characterizer, TraceGenerator, KIVIAT_AXES};
 
-fn main() {
+fn main() -> Result<(), ExploreError> {
     let names = ["bzip", "gzip"];
     let profiles: Vec<_> = names
         .iter()
@@ -47,8 +47,9 @@ fn main() {
     println!("\nexploring customized configurations (simulated annealing)...");
     let mut opts = ExploreOptions::quick();
     opts.jobs = 0;
-    let explorer = Campaign::new(opts);
-    let result = explorer.explore(&profiles);
+    let campaign = Campaign::try_new(opts)?;
+    let ctx = RunContext::from_env()?;
+    let result = campaign.explore_recoverable(&profiles, &EvalCache::new(), &ctx)?;
     for core in &result.cores {
         let c = &core.config;
         println!(
@@ -76,4 +77,5 @@ fn main() {
     println!(
         "\nraw similarity does not imply configurational similarity — the paper's central claim."
     );
+    Ok(())
 }

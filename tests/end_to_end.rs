@@ -7,14 +7,24 @@
 //! `repro explore` and recorded in EXPERIMENTS.md.
 
 use xpscalar::communal::{best_combination, ideal_performance, Merit};
-use xpscalar::pipeline::Pipeline;
-use xpscalar::workload::spec;
+use xpscalar::explore::{EvalCache, RunContext};
+use xpscalar::pipeline::{Pipeline, PipelineResult};
+use xpscalar::workload::{spec, WorkloadProfile};
 
-fn profiles(names: &[&str]) -> Vec<xpscalar::workload::WorkloadProfile> {
+fn profiles(names: &[&str]) -> Vec<WorkloadProfile> {
     names
         .iter()
         .map(|n| spec::profile(n).expect("known benchmark"))
         .collect()
+}
+
+/// The quick pipeline under the `XPS_FAULTS` plan (when set), so the
+/// fault-injection CI job covers these runs.
+fn quick_run(p: &[WorkloadProfile]) -> PipelineResult {
+    let ctx = RunContext::from_env().expect("valid XPS_FAULTS");
+    Pipeline::quick()
+        .run(p, &EvalCache::new(), &ctx)
+        .expect("quick pipeline")
 }
 
 /// The headline end-to-end claim: a well-chosen heterogeneous pair
@@ -23,7 +33,7 @@ fn profiles(names: &[&str]) -> Vec<xpscalar::workload::WorkloadProfile> {
 #[test]
 fn heterogeneous_pair_beats_homogeneous() {
     let p = profiles(&["crafty", "mcf", "twolf", "gzip"]);
-    let r = Pipeline::quick().run(&p);
+    let r = quick_run(&p);
     let m = &r.matrix;
 
     let single = best_combination(m, 1, Merit::HarmonicMean);
@@ -51,7 +61,7 @@ fn heterogeneous_pair_beats_homogeneous() {
 #[test]
 fn measured_matrix_invariants() {
     let p = profiles(&["gzip", "mcf", "vpr"]);
-    let r = Pipeline::quick().run(&p);
+    let r = quick_run(&p);
     let m = &r.matrix;
     assert_eq!(m.len(), 3);
     assert!(m.is_diagonal_dominant(), "replacement rule enforces this");
@@ -73,8 +83,8 @@ fn measured_matrix_invariants() {
 #[test]
 fn pipeline_is_deterministic() {
     let p = profiles(&["gap", "perl"]);
-    let a = Pipeline::quick().run(&p);
-    let b = Pipeline::quick().run(&p);
+    let a = quick_run(&p);
+    let b = quick_run(&p);
     for w in 0..2 {
         for c in 0..2 {
             assert_eq!(a.matrix.ipt(w, c), b.matrix.ipt(w, c));

@@ -9,7 +9,9 @@ use xpscalar::communal::{
     balanced_partition, best_combination, compare_methodologies, simulate_jobs, JobPolicy, Merit,
     ScheduleOptions,
 };
-use xpscalar::explore::{anneal, grid_search, AnnealOptions, DesignPoint, GridSpec, Objective};
+use xpscalar::explore::{
+    anneal, grid_search, AnnealOptions, DesignPoint, EvalCache, GridSpec, Objective,
+};
 use xpscalar::paper;
 use xpscalar::sim::{energy_delay_product, estimate_energy, CoreConfig, Simulator};
 use xpscalar::workload::{spec, Characterizer, TraceGenerator};
@@ -73,8 +75,9 @@ fn edp_objective_improves_edp() {
     perf.iterations = 60;
     let mut green = perf.clone();
     green.objective = Objective::InverseEnergyDelay;
-    let r_perf = anneal(&p, &DesignPoint::initial(), &perf, &tech);
-    let r_green = anneal(&p, &DesignPoint::initial(), &green, &tech);
+    let cache = EvalCache::new();
+    let r_perf = anneal(&p, &DesignPoint::initial(), &perf, &tech, &cache, None);
+    let r_green = anneal(&p, &DesignPoint::initial(), &green, &tech, &cache, None);
     let edp_of = |cfg: &CoreConfig| {
         let stats = Simulator::new(cfg).run(TraceGenerator::new(p.clone()), 40_000);
         energy_delay_product(&tech, cfg, &stats)
@@ -109,7 +112,7 @@ fn grid_and_anneal_agree_on_mcf_corner() {
     let p = spec::profile("mcf").expect("known benchmark");
     let mut opts = AnnealOptions::quick();
     opts.eval_ops_late = 60_000;
-    let g = grid_search(&p, &GridSpec::default(), &opts, &tech);
+    let g = grid_search(&p, &GridSpec::default(), &opts, &tech, 1, &EvalCache::new());
     assert!(
         g.config.l2.geometry.capacity_bytes() >= 1024 * 1024,
         "mcf's lattice optimum must carry a large L2, got {}",

@@ -19,7 +19,7 @@
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
-use xpscalar::explore::write_atomic;
+use xpscalar::explore::{write_atomic, EvalCache, RunContext};
 use xpscalar::pipeline::{Pipeline, PipelineResult};
 use xpscalar::sim::CoreConfig;
 use xpscalar::workload::spec;
@@ -36,7 +36,12 @@ fn campaign() -> &'static PipelineResult {
             .iter()
             .map(|n| spec::profile(n).expect("known benchmark"))
             .collect();
-        Pipeline::quick().run(&profiles)
+        // `from_env` honors `XPS_FAULTS`: the snapshots must also hold
+        // under injected faults.
+        let ctx = RunContext::from_env().expect("valid XPS_FAULTS");
+        Pipeline::quick()
+            .run(&profiles, &EvalCache::new(), &ctx)
+            .expect("quick pipeline")
     })
 }
 
