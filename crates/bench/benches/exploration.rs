@@ -33,7 +33,7 @@ fn quick_anneal(c: &mut Criterion) {
     group.bench_function("mini-anneal-20-iters", |b| {
         b.iter(|| {
             let cache = EvalCache::new();
-            anneal(&p, &DesignPoint::initial(), &opts, &tech, &cache, None)
+            anneal(&p, &DesignPoint::initial(), &opts, &tech, &cache, None).expect("anneals")
         })
     });
     group.finish();

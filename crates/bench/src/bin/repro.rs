@@ -622,9 +622,9 @@ fn run_dispatch(c: &str, source: Source, quick: bool) -> Result<(), Box<dyn Erro
         "pitfall" => pitfall(source, quick),
         "schedule" => schedule(source, quick),
         "ablation-tech" => ablation_tech(),
-        "ablation-power" => Ok(ablation_power()),
+        "ablation-power" => ablation_power(),
         "ablation-predictor" => Ok(ablation_predictor()),
-        "ablation-search" => Ok(ablation_search()),
+        "ablation-search" => ablation_search(),
         "ablation-prefetch" => Ok(ablation_prefetch()),
         "dendrogram" => Ok(dendrogram_cmd(quick)),
         "visualize" => visualize(source, quick),
@@ -1787,7 +1787,7 @@ fn ablation_tech() -> Result<(), Box<dyn Error>> {
 
 /// Ablation: performance-only vs energy-delay-product customization —
 /// the power-aware extension the paper's §3 leaves open.
-fn ablation_power() {
+fn ablation_power() -> Result<(), Box<dyn Error>> {
     use xps_core::explore::{anneal, AnnealOptions, DesignPoint, Objective};
     use xps_core::sim::estimate_energy;
     println!("Power ablation: IPT-optimal vs EDP-optimal customized cores\n");
@@ -1809,7 +1809,7 @@ fn ablation_power() {
                 &tech,
                 &EvalCache::new(),
                 None,
-            );
+            )?;
             let stats = Simulator::new(&r.config).run(TraceGenerator::new(p.clone()), 60_000);
             let e = estimate_energy(&tech, &r.config, &stats);
             let time_ns = stats.cycles as f64 * r.config.clock_ns;
@@ -1839,6 +1839,7 @@ fn ablation_power() {
             &rows
         )
     );
+    Ok(())
 }
 
 /// Ablation: sensitivity of the (held-fixed) branch predictor choice.
@@ -1885,7 +1886,7 @@ fn ablation_predictor() {
 /// Ablation: the §2.3 search-regime contrast — a coarse exhaustive
 /// lattice versus simulated annealing over the full space, at equal
 /// evaluation budgets per point.
-fn ablation_search() {
+fn ablation_search() -> Result<(), Box<dyn Error>> {
     use std::time::Instant;
     use xps_core::explore::{anneal, grid_search, AnnealOptions, DesignPoint, GridSpec};
     println!("Search ablation: exhaustive coarse grid vs simulated annealing\n");
@@ -1915,7 +1916,7 @@ fn ablation_search() {
             &tech,
             &EvalCache::new(),
             None,
-        );
+        )?;
         let t_anneal = t0.elapsed().as_secs_f64();
         rows.push(vec![
             name.to_string(),
@@ -1935,6 +1936,7 @@ fn ablation_search() {
         )
     );
     println!("  annealing explores the continuous space the lattice cannot afford to cover.");
+    Ok(())
 }
 
 /// Ablation: the prefetcher the paper's design space holds at "none".

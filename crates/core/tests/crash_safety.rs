@@ -9,15 +9,18 @@
 //! * a permanently failing task degrades the run instead of aborting
 //!   it, and is reported by name.
 //!
-//! The `batched_*` cases repeat these guarantees with matrix cells past
-//! the replay cache, where the matrix fans run lock-step batches over
-//! streamed traces.
+//! The `batched_matrix_*` cases repeat these guarantees with matrix
+//! cells past the replay cache, where the matrix fans run lock-step
+//! batches over streamed traces; the `batched_anneal_*` cases repeat
+//! them for the anneal fan, whose walks step in lock-step per workload.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use xps_core::cacti::Technology;
 use xps_core::explore::{
-    EvalCache, ExploreError, FaultKind, FaultPlan, Journal, ProgressEvent, ProgressSink, RunContext,
+    AnnealOptions, DesignPoint, EvalCache, ExploreError, FaultKind, FaultPlan, Journal,
+    ProgressEvent, ProgressSink, RunContext, Walk, WalkCell,
 };
 use xps_core::pipeline::{cross_matrix_recoverable, Pipeline, PipelineResult};
 use xps_core::sim::CoreConfig;
@@ -213,18 +216,7 @@ fn batched_matrix_killed_mid_fill_resumes_without_resimulating() {
     // Kill mid-fill: cancel once two matrix cells have completed.
     // Batches already running finish and journal their cells; nothing
     // after them starts.
-    let cancel = Arc::new(AtomicBool::new(false));
-    let cells_done = Arc::new(AtomicUsize::new(0));
-    let sink = {
-        let (cancel, cells_done) = (cancel.clone(), cells_done.clone());
-        ProgressSink::new(move |e| {
-            if let ProgressEvent::TaskDone { key, .. } = e {
-                if key.starts_with("matrix#") && cells_done.fetch_add(1, Ordering::SeqCst) >= 1 {
-                    cancel.store(true, Ordering::SeqCst);
-                }
-            }
-        })
-    };
+    let (cancel, sink) = cancel_after("matrix#", 2);
     let mut ctx = RunContext::new()
         .with_journal(Journal::create(&path).expect("create"))
         .with_cancel(cancel)
@@ -308,4 +300,198 @@ fn batched_matrix_permanent_failure_degrades_only_its_cell() {
             assert_eq!(degraded.ipt(w, c), want, "cell ({w}, {c})");
         }
     }
+}
+
+/// A cancel flag and an observer that sets it once `after` tasks whose
+/// keys start with `prefix` have completed.
+fn cancel_after(prefix: &'static str, after: usize) -> (Arc<AtomicBool>, ProgressSink) {
+    let cancel = Arc::new(AtomicBool::new(false));
+    let done = Arc::new(AtomicUsize::new(0));
+    let sink = {
+        let cancel = cancel.clone();
+        ProgressSink::new(move |e| {
+            if let ProgressEvent::TaskDone { key, .. } = e {
+                if key.starts_with(prefix) && done.fetch_add(1, Ordering::SeqCst) + 1 >= after {
+                    cancel.store(true, Ordering::SeqCst);
+                }
+            }
+        })
+    };
+    (cancel, sink)
+}
+
+#[test]
+fn batched_anneal_killed_mid_fan_resumes_without_rerunning() {
+    let p = profiles();
+    let path = tmp("batched-anneal-resume");
+    let mut ctx = RunContext::new().with_journal(Journal::create(&path).expect("create"));
+    let full = mini(2).run(&p, &EvalCache::new(), &ctx).expect("full run");
+    let total = ctx.stats().executed;
+    drop(ctx.take_journal());
+
+    // Kill mid-fan: cancel once two walks have completed. Workload
+    // groups already running finish and journal every walk; the rest
+    // never start.
+    let (cancel, sink) = cancel_after("anneal#", 2);
+    let mut ctx = RunContext::new()
+        .with_journal(Journal::create(&path).expect("create"))
+        .with_cancel(cancel)
+        .with_observer(sink);
+    let err = mini(2)
+        .run(&p, &EvalCache::new(), &ctx)
+        .expect_err("killed mid-fan");
+    assert!(
+        matches!(err, PipelineError::Explore(ExploreError::Cancelled)),
+        "{err}"
+    );
+    let journaled = ctx.stats().executed;
+    drop(ctx.take_journal());
+    let text = std::fs::read_to_string(&path).expect("journal readable");
+    assert_eq!(
+        text.lines().count() as u64,
+        journaled,
+        "one record per walk"
+    );
+    assert!(
+        text.lines().all(|l| l.contains("\"anneal#")),
+        "only walks ran before the kill"
+    );
+    assert!(
+        (2..3 * p.len() as u64).contains(&journaled),
+        "the kill landed mid-fan ({journaled} walks journaled)"
+    );
+
+    let ctx = RunContext::new().with_journal(Journal::open(&path).expect("open"));
+    let resumed = mini(2)
+        .run(&p, &EvalCache::new(), &ctx)
+        .expect("resumed run");
+    let rec = ctx.stats();
+    assert_eq!(rec.salvaged, journaled, "salvage exactly the journal");
+    assert_eq!(rec.executed, total - journaled, "no journaled walk re-runs");
+    assert_eq!(deliverable(&resumed), deliverable(&full));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn batched_anneal_under_transient_faults_matches_a_serial_clean_run() {
+    let p = profiles();
+    let plan = FaultPlan::rate(20, 7, 1, FaultKind::Panic);
+    let hit: Vec<String> = (0..3 * p.len())
+        .map(|t| format!("anneal#0/{t}"))
+        .filter(|key| plan.injects(key, 0).is_some())
+        .collect();
+    assert!(!hit.is_empty(), "the plan must fire inside the anneal fan");
+    let clean = mini(1)
+        .run(&p, &EvalCache::new(), &RunContext::new())
+        .expect("clean run");
+    let ctx = RunContext::new().with_faults(plan).with_retries(2);
+    let faulted = mini(2)
+        .run(&p, &EvalCache::new(), &ctx)
+        .expect("faulted run");
+    assert!(faulted.stats.recovery.failed_tasks.is_empty());
+    assert_eq!(
+        deliverable(&faulted),
+        deliverable(&clean),
+        "walks that fault and retry alone must not move a byte"
+    );
+    // The same walks alone: each one's injected first attempt fires
+    // and is retried (a walk batched with its group-mates would skip
+    // both).
+    let ctx = RunContext::new()
+        .with_faults(FaultPlan::targets(hit.clone(), 1, FaultKind::Panic))
+        .with_retries(2);
+    let targeted = mini(2)
+        .run(&p, &EvalCache::new(), &ctx)
+        .expect("targeted run");
+    let rec = &targeted.stats.recovery;
+    assert_eq!(rec.faults_injected, hit.len() as u64);
+    assert_eq!(rec.retried, hit.len() as u64);
+    assert_eq!(deliverable(&targeted), deliverable(&clean));
+}
+
+#[test]
+fn batched_anneal_permanent_failure_degrades_only_its_start() {
+    let p = profiles();
+    let tech = Technology::default();
+    let starts = [
+        DesignPoint::initial(),
+        DesignPoint::fast_corner(),
+        DesignPoint::big_corner(),
+    ];
+    let mut opts = AnnealOptions::quick();
+    opts.iterations = 12;
+    opts.eval_ops_early = 4_000;
+    opts.eval_ops_late = 8_000;
+    let opts = &opts;
+    let walks: Vec<WalkCell<'_>> = p
+        .iter()
+        .flat_map(|profile| {
+            starts.iter().map(move |start| WalkCell {
+                profile,
+                walk: Walk {
+                    start,
+                    opts,
+                    progress: None,
+                },
+            })
+        })
+        .collect();
+    let fan = |ctx: &RunContext| {
+        ctx.run_walk_fan(2, "anneal", &walks, &tech, &EvalCache::new())
+            .expect("fan completes")
+            .items
+    };
+    let clean = fan(&RunContext::new());
+    // Walk 4 is mcf's fast corner: its group-mates 3 and 5 still run as
+    // one lock-step batch.
+    let ctx = RunContext::new()
+        .with_faults(FaultPlan::targets(
+            ["anneal#0/4"],
+            u32::MAX,
+            FaultKind::Panic,
+        ))
+        .with_retries(1);
+    let degraded = fan(&ctx);
+    assert_eq!(ctx.stats().failed_tasks, vec!["anneal#0/4".to_string()]);
+    assert_eq!(ctx.stats().executed, walks.len() as u64 - 1);
+    for (t, (c, d)) in clean.iter().zip(&degraded).enumerate() {
+        let c = c.as_ref().expect("clean walks succeed");
+        match d {
+            Err(e) => assert_eq!(t, 4, "only walk 4 fails, not {}", e.task),
+            Ok(d) => assert_eq!(
+                serde_json::to_string(d).expect("serializes"),
+                serde_json::to_string(c).expect("serializes"),
+                "walk {t} must be untouched"
+            ),
+        }
+    }
+    assert!(degraded[4].is_err());
+}
+
+/// A journal written by the sequential-walk build (commit a8c72da): the
+/// `mini(1)` pipeline cancelled after its first four walks (gzip's
+/// three starts and mcf's first). Resuming it salvages all four and
+/// runs mcf's two remaining walks as one batch and crafty's three as
+/// another.
+#[test]
+fn batched_anneal_resumes_a_journal_of_the_sequential_build() {
+    let p = profiles();
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/pre_batching_anneal_journal.jsonl");
+    let path = tmp("pre-batching-resume");
+    std::fs::copy(&fixture, &path).expect("copy the fixture");
+    let full = mini(1)
+        .run(&p, &EvalCache::new(), &RunContext::new())
+        .expect("clean run");
+    let journal = Journal::open(&path).expect("open");
+    assert_eq!(journal.loaded(), 4);
+    let ctx = RunContext::new().with_journal(journal);
+    let resumed = mini(2)
+        .run(&p, &EvalCache::new(), &ctx)
+        .expect("resumed run");
+    let rec = ctx.stats();
+    assert_eq!(rec.salvaged, 4, "every record of the older build is reused");
+    assert!(rec.executed > 0);
+    assert_eq!(deliverable(&resumed), deliverable(&full));
+    let _ = std::fs::remove_file(&path);
 }

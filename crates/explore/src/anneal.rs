@@ -1,13 +1,14 @@
 //! Simulated annealing over the design space for one workload.
 
 use crate::cache::EvalCache;
+use crate::error::ExploreError;
 use crate::point::DesignPoint;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use xps_cacti::Technology;
-use xps_sim::{energy_delay_product, CoreConfig};
-use xps_trace::{ProgressEvent, ProgressSink};
+use xps_sim::{energy_delay_product, CoreConfig, SimStats};
+use xps_trace::{ProgressEvent, ProgressSink, Span};
 use xps_workload::WorkloadProfile;
 
 /// What the annealer maximizes.
@@ -84,8 +85,8 @@ impl AnnealOptions {
     ///
     /// Returns [`ExploreError::InvalidOptions`] naming the first
     /// violated invariant.
-    pub fn validate(&self) -> Result<(), crate::ExploreError> {
-        let bad = |msg: String| Err(crate::ExploreError::InvalidOptions(msg));
+    pub fn validate(&self) -> Result<(), ExploreError> {
+        let bad = |msg: String| Err(ExploreError::InvalidOptions(msg));
         if self.iterations == 0 {
             return bad("iterations must be >= 1".into());
         }
@@ -145,10 +146,14 @@ pub fn score(
     tech: &Technology,
     cache: &EvalCache,
 ) -> f64 {
-    let stats = cache.stats(profile, cfg, ops);
+    merit(objective, tech, cfg, &cache.stats(profile, cfg, ops))
+}
+
+/// The objective's figure of merit for measured `stats` of `cfg`.
+fn merit(objective: Objective, tech: &Technology, cfg: &CoreConfig, stats: &SimStats) -> f64 {
     match objective {
         Objective::Ipt => stats.ipt(),
-        Objective::InverseEnergyDelay => 1.0 / energy_delay_product(tech, cfg, &stats),
+        Objective::InverseEnergyDelay => 1.0 / energy_delay_product(tech, cfg, stats),
     }
 }
 
@@ -216,16 +221,182 @@ pub(crate) fn propose(rng: &mut SmallRng, p: &DesignPoint) -> DesignPoint {
     q
 }
 
-/// Run simulated annealing for one workload, starting from `start`
-/// (use [`DesignPoint::initial`] for the paper's Table 3 start).
+/// One walk of an [`anneal_batch`].
+#[derive(Debug, Clone, Copy)]
+pub struct Walk<'a> {
+    /// Where the walk starts (use [`DesignPoint::initial`] for the
+    /// paper's Table 3 start).
+    pub start: &'a DesignPoint,
+    /// The walk's options; its RNG is seeded from
+    /// `opts.seed ^ profile.seed`.
+    pub opts: &'a AnnealOptions,
+    /// When set, the sink receives one [`ProgressEvent::AnnealStep`]
+    /// per iteration, tagged with the given multi-start index.
+    pub progress: Option<(&'a ProgressSink, u32)>,
+}
+
+/// The state of one walk between iterations of a batch.
+struct WalkState<'a> {
+    /// The walk's index in the batch.
+    index: usize,
+    walk: Walk<'a>,
+    rng: SmallRng,
+    early_iters: u32,
+    cur: DesignPoint,
+    cur_ipt: f64,
+    best: DesignPoint,
+    best_cfg: CoreConfig,
+    best_ipt: f64,
+    temp: f64,
+    history: Vec<f64>,
+    accepted: u32,
+    accepted_worse: u32,
+    rejected: u32,
+    rollbacks: u32,
+    rejected_unrealizable: u32,
+    span: Option<Span>,
+}
+
+impl WalkState<'_> {
+    /// Trace length of iteration `it`: short in the early phase, long
+    /// after it.
+    fn ops(&self, it: u32) -> u64 {
+        if it < self.early_iters {
+            self.walk.opts.eval_ops_early
+        } else {
+            self.walk.opts.eval_ops_late
+        }
+    }
+
+    /// Decide on a realized candidate scoring `ipt` (acceptance,
+    /// best-so-far, rollback); returns whether it was accepted.
+    fn step(&mut self, cand: DesignPoint, cfg: CoreConfig, ipt: f64) -> bool {
+        let accept = ipt > self.cur_ipt || {
+            let delta = ipt - self.cur_ipt;
+            self.rng.gen::<f64>() < (delta / self.temp.max(1e-6)).exp()
+        };
+        if accept {
+            self.accepted += 1;
+            // Lateral (equal-IPT) moves are not "worse": only a strict
+            // degradation counts, so at T ≈ 0 this counter is exactly
+            // zero.
+            if ipt < self.cur_ipt {
+                self.accepted_worse += 1;
+            }
+            self.cur = cand;
+            self.cur_ipt = ipt;
+        } else {
+            self.rejected += 1;
+        }
+        if ipt > self.best_ipt {
+            self.best = self.cur.clone();
+            self.best_cfg = cfg;
+            self.best_ipt = ipt;
+        }
+        // The paper's rule: if the walk degrades to less than half the
+        // best seen, roll back to the best solution.
+        if self.cur_ipt < self.walk.opts.rollback_fraction * self.best_ipt {
+            self.rollbacks += 1;
+            self.cur = self.best.clone();
+            self.cur_ipt = self.best_ipt;
+        }
+        accept
+    }
+}
+
+/// Relax a start that does not realize under this technology (e.g. a
+/// fast-clock corner on a slow process) by slowing its clock until
+/// something fits, so exploration proceeds from the nearest feasible
+/// point. Total: each step grows a positive, normal clock by a quarter,
+/// and the loop stops at the 2 ns ceiling of [`DesignPoint::realize`].
 ///
-/// Every evaluation goes through `cache`, shared across runs:
-/// rollback re-evaluations, cross-seeding, and repeated visits to one
-/// design reuse stats instead of re-simulating. `progress`, when set,
-/// receives one [`ProgressEvent::AnnealStep`] per iteration, tagged
-/// with the given multi-start index. Cached stats are bit-identical to
-/// fresh ones and observation is read-only, so the result is
-/// deterministic for fixed `(profile, start, opts, tech)`.
+/// # Errors
+///
+/// [`ExploreError::UnrealizableStart`] when nothing realizes below the
+/// ceiling, or the start clock is not a positive, normal number.
+fn relax(
+    start: &DesignPoint,
+    tech: &Technology,
+    name: &str,
+) -> Result<(DesignPoint, CoreConfig), ExploreError> {
+    let mut cur = start.clone();
+    loop {
+        if let Some(cfg) = cur.realize(tech, name) {
+            return Ok((cur, cfg));
+        }
+        if !(cur.clock_ns.is_normal() && cur.clock_ns > 0.0 && cur.clock_ns < 2.0) {
+            return Err(ExploreError::UnrealizableStart {
+                clock_ns: start.clock_ns,
+            });
+        }
+        cur.clock_ns *= 1.25;
+    }
+}
+
+/// Score `(walk, config, ops, objective)` candidates through `cache`.
+/// Candidates that share a trace length are looked up and simulated as
+/// one lock-step batch ([`EvalCache::stats_batch`]), so their trace is
+/// produced once; each candidate's trace events land in its walk's
+/// `in_walk` scope.
+fn score_batch(
+    profile: &WorkloadProfile,
+    tech: &Technology,
+    cache: &EvalCache,
+    cands: &[(usize, &CoreConfig, u64, Objective)],
+    in_walk: &mut dyn FnMut(usize, &mut dyn FnMut()),
+) -> Vec<f64> {
+    let mut scores = vec![0.0; cands.len()];
+    let mut lengths: Vec<u64> = Vec::new();
+    for &(_, _, ops, _) in cands {
+        if !lengths.contains(&ops) {
+            lengths.push(ops);
+        }
+    }
+    for ops in lengths {
+        let group: Vec<usize> = (0..cands.len()).filter(|&c| cands[c].2 == ops).collect();
+        let configs: Vec<&CoreConfig> = group.iter().map(|&c| cands[c].1).collect();
+        let stats = cache.stats_batch(profile, &configs, ops, &mut |k, f| {
+            in_walk(cands[group[k]].0, f)
+        });
+        for (&c, stats) in group.iter().zip(&stats) {
+            let (_, cfg, _, objective) = cands[c];
+            scores[c] = merit(objective, tech, cfg, stats);
+        }
+    }
+    scores
+}
+
+/// [`score_batch`] of every walk's best configuration, at the trace
+/// length `ops` picks from its options.
+fn score_best(
+    profile: &WorkloadProfile,
+    tech: &Technology,
+    cache: &EvalCache,
+    states: &[WalkState<'_>],
+    ops: fn(&AnnealOptions) -> u64,
+    in_walk: &mut dyn FnMut(usize, &mut dyn FnMut()),
+) -> Vec<f64> {
+    let cands: Vec<_> = states
+        .iter()
+        .map(|s| {
+            (
+                s.index,
+                &s.best_cfg,
+                ops(s.walk.opts),
+                s.walk.opts.objective,
+            )
+        })
+        .collect();
+    score_batch(profile, tech, cache, &cands, in_walk)
+}
+
+/// Run simulated annealing for one workload, starting from `start`:
+/// the batch of one of [`anneal_batch`].
+///
+/// # Errors
+///
+/// [`ExploreError::UnrealizableStart`] when the start cannot be relaxed
+/// into a realizable design.
 pub fn anneal(
     profile: &WorkloadProfile,
     start: &DesignPoint,
@@ -233,135 +404,179 @@ pub fn anneal(
     tech: &Technology,
     cache: &EvalCache,
     progress: Option<(&ProgressSink, u32)>,
-) -> AnnealResult {
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ profile.seed);
-    let name = profile.name.clone();
-    let walk = xps_trace::span("anneal.walk");
-    let (mut accepted, mut accepted_worse, mut rejected) = (0u32, 0u32, 0u32);
-    let mut rollbacks = 0u32;
-
-    let mut cur = start.clone();
-    // A start that does not realize under this technology (e.g. a
-    // fast-clock corner on a slow process) is relaxed by slowing its
-    // clock until something fits — exploration then proceeds from the
-    // nearest feasible point rather than failing.
-    let cur_cfg = loop {
-        match cur.realize(tech, &name) {
-            Some(cfg) => break cfg,
-            None => {
-                assert!(
-                    cur.clock_ns < 2.0,
-                    "no realizable design even at a {} ns clock",
-                    cur.clock_ns
-                );
-                cur.clock_ns *= 1.25;
-            }
-        }
+) -> Result<AnnealResult, ExploreError> {
+    let walk = Walk {
+        start,
+        opts,
+        progress,
     };
-    let early_iters = (f64::from(opts.iterations) * opts.early_fraction) as u32;
+    anneal_batch(profile, &[walk], tech, cache, &mut |_, f| f())
+        .pop()
+        .unwrap_or_else(|| unreachable!("one result per walk"))
+}
 
-    let mut cur_ipt = score(
-        profile,
-        &cur_cfg,
-        opts.eval_ops_early,
-        opts.objective,
-        tech,
-        cache,
-    );
-    let mut best = cur.clone();
-    let mut best_cfg = cur_cfg;
-    let mut best_ipt = cur_ipt;
-    let mut temp = opts.temperature;
-    let mut history = Vec::with_capacity(opts.iterations as usize);
-    let mut rejected_unrealizable = 0;
+/// Run the annealing `walks` of one workload in lock-step: in every
+/// iteration each walk proposes and realizes a move with its own RNG,
+/// the realized candidates are scored as one batch through `cache` (so
+/// the iteration's trace is produced once for all of them), and each
+/// walk then accepts, rolls back and records its history on its own.
+/// The start and final measurements are batched the same way. A
+/// configuration repeated within a batch simulates once and counts as
+/// a cache hit, as it would in a serial sequence of walks.
+///
+/// Walk `k`'s result is bit for bit what it would be alone: walks share
+/// nothing but the cache, whose hits equal fresh simulations. Every
+/// trace event of walk `k` — its `anneal.walk` span, moves, lookups and
+/// simulator runs — is recorded inside `in_walk(k, ..)`, in the order
+/// the walk alone would record them, so a fan can file each walk's
+/// events under its own task track.
+///
+/// # Errors
+///
+/// Walk `k`'s slot holds [`ExploreError::UnrealizableStart`] when its
+/// start cannot be relaxed into a realizable design; the other walks
+/// run on.
+pub fn anneal_batch(
+    profile: &WorkloadProfile,
+    walks: &[Walk<'_>],
+    tech: &Technology,
+    cache: &EvalCache,
+    in_walk: &mut dyn FnMut(usize, &mut dyn FnMut()),
+) -> Vec<Result<AnnealResult, ExploreError>> {
+    let name = profile.name.as_str();
+    let relaxed: Vec<_> = walks.iter().map(|w| relax(w.start, tech, name)).collect();
+    let mut states: Vec<WalkState<'_>> = walks
+        .iter()
+        .zip(&relaxed)
+        .enumerate()
+        .filter_map(|(index, (&walk, start))| {
+            let (cur, cur_cfg) = start.as_ref().ok()?.clone();
+            let mut span = None;
+            in_walk(index, &mut || span = Some(xps_trace::span("anneal.walk")));
+            let opts = walk.opts;
+            Some(WalkState {
+                index,
+                walk,
+                rng: SmallRng::seed_from_u64(opts.seed ^ profile.seed),
+                early_iters: (f64::from(opts.iterations) * opts.early_fraction) as u32,
+                best: cur.clone(),
+                cur,
+                cur_ipt: 0.0,
+                best_cfg: cur_cfg,
+                best_ipt: 0.0,
+                temp: opts.temperature,
+                history: Vec::with_capacity(opts.iterations as usize),
+                accepted: 0,
+                accepted_worse: 0,
+                rejected: 0,
+                rollbacks: 0,
+                rejected_unrealizable: 0,
+                span,
+            })
+        })
+        .collect();
+    let start_ipts = score_best(profile, tech, cache, &states, |o| o.eval_ops_early, in_walk);
+    for (s, ipt) in states.iter_mut().zip(start_ipts) {
+        s.cur_ipt = ipt;
+        s.best_ipt = ipt;
+    }
 
-    for it in 0..opts.iterations {
-        let ops = if it < early_iters {
-            opts.eval_ops_early
-        } else {
-            opts.eval_ops_late
-        };
-        let cand = propose(&mut rng, &cur);
-        if let Some(cfg) = cand.realize(tech, &name) {
-            let ipt = score(profile, &cfg, ops, opts.objective, tech, cache);
-            let accept = ipt > cur_ipt || {
-                let delta = ipt - cur_ipt;
-                rng.gen::<f64>() < (delta / temp.max(1e-6)).exp()
-            };
-            if accept {
-                accepted += 1;
-                // Lateral (equal-IPT) moves are not "worse": only a
-                // strict degradation counts, so at T ≈ 0 this counter
-                // is exactly zero.
-                if ipt < cur_ipt {
-                    accepted_worse += 1;
+    let rounds = states
+        .iter()
+        .map(|s| s.walk.opts.iterations)
+        .max()
+        .unwrap_or(0);
+    for it in 0..rounds {
+        // Propose and realize: each walk draws from its own RNG.
+        let moves: Vec<(usize, DesignPoint, Option<CoreConfig>)> = states
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, s)| it < s.walk.opts.iterations)
+            .map(|(j, s)| {
+                let cand = propose(&mut s.rng, &s.cur);
+                let cfg = cand.realize(tech, name);
+                (j, cand, cfg)
+            })
+            .collect();
+        let cands: Vec<_> = moves
+            .iter()
+            .filter_map(|(j, _, cfg)| {
+                let s = &states[*j];
+                let cfg = cfg.as_ref()?;
+                Some((s.index, cfg, s.ops(it), s.walk.opts.objective))
+            })
+            .collect();
+        let mut ipts = score_batch(profile, tech, cache, &cands, in_walk).into_iter();
+        for (j, cand, cfg) in moves {
+            let s = &mut states[j];
+            let outcome = match cfg {
+                Some(cfg) => {
+                    let ipt = ipts
+                        .next()
+                        .unwrap_or_else(|| unreachable!("one score per realized move"));
+                    ("accepted", s.step(cand, cfg, ipt))
                 }
-                cur = cand;
-                cur_ipt = ipt;
-            } else {
-                rejected += 1;
-            }
-            xps_trace::instant("anneal.move", || {
-                xps_trace::attrs([("it", (it + 1).into()), ("accepted", accept.into())])
+                None => {
+                    s.rejected_unrealizable += 1;
+                    ("unrealizable", true)
+                }
+            };
+            in_walk(s.index, &mut || {
+                xps_trace::instant("anneal.move", || {
+                    xps_trace::attrs([("it", (it + 1).into()), (outcome.0, outcome.1.into())])
+                })
             });
-            if ipt > best_ipt {
-                best = cur.clone();
-                best_cfg = cfg;
-                best_ipt = ipt;
+            s.temp *= s.walk.opts.cooling;
+            s.history.push(s.best_ipt);
+            if let Some((sink, start)) = s.walk.progress {
+                sink.emit(&ProgressEvent::AnnealStep {
+                    workload: name.to_string(),
+                    start,
+                    iteration: it + 1,
+                    iterations: s.walk.opts.iterations,
+                    temperature: s.temp,
+                    best: s.best_ipt,
+                });
             }
-            // The paper's rule: if the walk degrades to less than half
-            // the best seen, roll back to the best solution.
-            if cur_ipt < opts.rollback_fraction * best_ipt {
-                rollbacks += 1;
-                cur = best.clone();
-                cur_ipt = best_ipt;
-            }
-        } else {
-            rejected_unrealizable += 1;
-            xps_trace::instant("anneal.move", || {
-                xps_trace::attrs([("it", (it + 1).into()), ("unrealizable", true.into())])
-            });
-        }
-        temp *= opts.cooling;
-        history.push(best_ipt);
-        if let Some((sink, start)) = progress {
-            sink.emit(&ProgressEvent::AnnealStep {
-                workload: name.clone(),
-                start,
-                iteration: it + 1,
-                iterations: opts.iterations,
-                temperature: temp,
-                best: best_ipt,
-            });
         }
     }
 
     // Final measurement at the long trace length for a fair Table 5.
-    let final_ipt = score(
-        profile,
-        &best_cfg,
-        opts.eval_ops_late,
-        opts.objective,
-        tech,
-        cache,
-    );
-    walk.end_with(|| {
-        xps_trace::attrs([
-            ("workload", name.as_str().into()),
-            ("accepted", accepted.into()),
-            ("accepted_worse", accepted_worse.into()),
-            ("rejected", rejected.into()),
-            ("rollbacks", rollbacks.into()),
-            ("unrealizable", rejected_unrealizable.into()),
-        ])
+    let final_ipts = score_best(profile, tech, cache, &states, |o| o.eval_ops_late, in_walk);
+    let mut finished = states.into_iter().zip(final_ipts).map(|(s, ipt)| {
+        let mut span = s.span;
+        in_walk(s.index, &mut || {
+            if let Some(span) = span.take() {
+                span.end_with(|| {
+                    xps_trace::attrs([
+                        ("workload", name.into()),
+                        ("accepted", s.accepted.into()),
+                        ("accepted_worse", s.accepted_worse.into()),
+                        ("rejected", s.rejected.into()),
+                        ("rollbacks", s.rollbacks.into()),
+                        ("unrealizable", s.rejected_unrealizable.into()),
+                    ])
+                });
+            }
+        });
+        AnnealResult {
+            point: s.best,
+            config: s.best_cfg,
+            ipt,
+            history: s.history,
+            rejected_unrealizable: s.rejected_unrealizable,
+        }
     });
-    AnnealResult {
-        point: best,
-        config: best_cfg,
-        ipt: final_ipt,
-        history,
-        rejected_unrealizable,
-    }
+    relaxed
+        .into_iter()
+        .map(|r| {
+            r.map(|_| {
+                finished
+                    .next()
+                    .unwrap_or_else(|| unreachable!("one result per realized start"))
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -379,6 +594,7 @@ mod tests {
             &EvalCache::new(),
             None,
         )
+        .expect("anneals")
     }
 
     #[test]
@@ -397,7 +613,7 @@ mod tests {
             &tech,
             &cache,
         );
-        let result = anneal(&p, &start, &opts, &tech, &cache, None);
+        let result = anneal(&p, &start, &opts, &tech, &cache, None).expect("anneals");
         assert!(
             result.ipt >= init_ipt * 0.98,
             "annealing must not end below the start: {} vs {init_ipt}",
@@ -432,14 +648,16 @@ mod tests {
         let p = spec::profile("vpr").expect("vpr exists");
         let opts = AnnealOptions::quick();
         let cache = EvalCache::new();
-        let cold = anneal(&p, &DesignPoint::initial(), &opts, &tech, &cache, None);
+        let cold =
+            anneal(&p, &DesignPoint::initial(), &opts, &tech, &cache, None).expect("anneals");
         // The final measurement equals a fresh, uncached simulation.
         let fresh = xps_sim::evaluate(&p, &cold.config, opts.eval_ops_late).ipt();
         assert!((cold.ipt - fresh).abs() == 0.0, "must be bit-identical");
         // Re-running against the warm cache hits for every evaluation
         // and still reproduces the identical walk.
         let before = cache.counters();
-        let rerun = anneal(&p, &DesignPoint::initial(), &opts, &tech, &cache, None);
+        let rerun =
+            anneal(&p, &DesignPoint::initial(), &opts, &tech, &cache, None).expect("anneals");
         let after = cache.counters();
         assert_eq!(rerun.point, cold.point);
         assert_eq!(rerun.config, cold.config);
@@ -485,5 +703,81 @@ mod tests {
         // Not a hard guarantee, but with 60 iterations the walks
         // essentially always diverge.
         assert!(a.point != b.point || (a.ipt - b.ipt).abs() > 1e-9);
+    }
+
+    #[test]
+    fn hostile_start_clocks_are_typed_errors() {
+        let tech = Technology::default();
+        let p = spec::profile("gzip").expect("gzip exists");
+        let mut opts = AnnealOptions::quick();
+        opts.iterations = 2;
+        for clock_ns in [
+            0.0,
+            -1.0,
+            5.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::MIN_POSITIVE / 4.0,
+        ] {
+            let start = DesignPoint {
+                clock_ns,
+                ..DesignPoint::initial()
+            };
+            let cache = EvalCache::new();
+            match anneal(&p, &start, &opts, &tech, &cache, None) {
+                Err(ExploreError::UnrealizableStart { clock_ns: got }) => {
+                    assert!(got.to_bits() == clock_ns.to_bits(), "{got} vs {clock_ns}");
+                }
+                other => panic!("clock {clock_ns}: expected UnrealizableStart, got {other:?}"),
+            }
+            assert!(cache.is_empty(), "clock {clock_ns}: nothing simulated");
+        }
+    }
+
+    #[test]
+    fn slow_starts_relax_to_a_realizable_clock() {
+        let tech = Technology::default();
+        let p = spec::profile("gzip").expect("gzip exists");
+        let mut opts = AnnealOptions::quick();
+        opts.iterations = 2;
+        let start = DesignPoint {
+            clock_ns: 0.01,
+            ..DesignPoint::initial()
+        };
+        assert!(start.realize(&tech, "gzip").is_none());
+        let r = anneal(&p, &start, &opts, &tech, &EvalCache::new(), None).expect("relaxes");
+        assert!(r.point.clock_ns > 0.01 && r.point.clock_ns < 2.0);
+    }
+
+    #[test]
+    fn a_failing_start_leaves_its_batch_mates_untouched() {
+        let tech = Technology::default();
+        let p = spec::profile("mcf").expect("mcf exists");
+        let mut opts = AnnealOptions::quick();
+        opts.iterations = 5;
+        let bad = DesignPoint {
+            clock_ns: 0.0,
+            ..DesignPoint::initial()
+        };
+        let good = DesignPoint::initial();
+        let walks = [&bad, &good, &bad].map(|start| Walk {
+            start,
+            opts: &opts,
+            progress: None,
+        });
+        let got = anneal_batch(&p, &walks, &tech, &EvalCache::new(), &mut |_, f| f());
+        assert!(matches!(
+            got[0],
+            Err(ExploreError::UnrealizableStart { .. })
+        ));
+        assert!(matches!(
+            got[2],
+            Err(ExploreError::UnrealizableStart { .. })
+        ));
+        let alone = walk(&p, &opts, &tech);
+        let batched = got[1].as_ref().expect("the good walk runs");
+        assert_eq!(batched.point, alone.point);
+        assert_eq!(batched.history, alone.history);
+        assert!(batched.ipt == alone.ipt);
     }
 }

@@ -73,6 +73,13 @@ pub enum ExploreError {
     InvalidOptions(String),
     /// The workload set is empty.
     EmptyWorkloads,
+    /// An annealing start realizes no design, even with its clock
+    /// relaxed up to the 2 ns ceiling (or its clock is not a positive,
+    /// normal number to relax from).
+    UnrealizableStart {
+        /// The start's clock period, ns.
+        clock_ns: f64,
+    },
     /// Every multi-start anneal of one workload failed permanently, so
     /// there is no configuration to report for it.
     WorkloadFailed {
@@ -94,6 +101,10 @@ impl fmt::Display for ExploreError {
         match self {
             ExploreError::InvalidOptions(msg) => write!(f, "invalid exploration options: {msg}"),
             ExploreError::EmptyWorkloads => write!(f, "need at least one workload"),
+            ExploreError::UnrealizableStart { clock_ns } => write!(
+                f,
+                "no realizable design from a {clock_ns} ns start, even slowing the clock to 2 ns"
+            ),
             ExploreError::WorkloadFailed { workload, error } => {
                 write!(f, "every anneal of `{workload}` failed; last: {error}")
             }

@@ -1,12 +1,12 @@
 //! The full §4 methodology: per-workload annealing plus
 //! cross-configuration seeding across workloads.
 
-use crate::anneal::{anneal, AnnealOptions, AnnealResult};
+use crate::anneal::{anneal, AnnealOptions, AnnealResult, Walk};
 use crate::cache::{CacheCounters, EvalCache};
 use crate::error::{ExploreError, TaskError};
 use crate::parallel::{merge_counts, resolve_jobs};
 use crate::point::DesignPoint;
-use crate::recovery::{EvalCell, RecoveryStats, RunContext};
+use crate::recovery::{EvalCell, RecoveryStats, RunContext, WalkCell};
 use serde::{Deserialize, Serialize};
 use xps_cacti::Technology;
 use xps_sim::CoreConfig;
@@ -162,10 +162,15 @@ impl Campaign {
     /// (tagged with the workload and the multi-start index) to the
     /// context's observer, when one is attached.
     ///
-    /// The per-workload anneals (times three multi-start corners) and
-    /// the cross-seeding evaluations fan out over `opts.jobs` workers;
-    /// every task owns its own seeded RNG stream and results are merged
-    /// in task order, so the outcome is bit-identical to a serial run.
+    /// Each workload anneals from three starts (the Table 3 point and
+    /// two corners). Its three walks step in lock-step as one unit of
+    /// [`RunContext::run_walk_fan`], so every iteration's candidates
+    /// share one trace; the workloads' units, and then the
+    /// cross-seeding rows, fan out over `opts.jobs` workers. Every walk
+    /// owns its own seeded RNG stream, journal record and trace track,
+    /// and results are merged in task order, so the outcome is
+    /// bit-identical to a serial run of one walk at a time. The
+    /// re-anneal after each adoption runs alone.
     ///
     /// A task that fails every attempt degrades the run instead of
     /// aborting it: a failed anneal start falls back to the workload's
@@ -203,35 +208,36 @@ impl Campaign {
             DesignPoint::fast_corner(),
             DesignPoint::big_corner(),
         ];
-        // Fan out every (workload, start) pair: each anneal seeds its
-        // own RNG from (opts.seed ^ start index, profile seed), so the
-        // walks are identical no matter which worker runs them.
+        // Fan out every (workload, start) pair: each walk seeds its own
+        // RNG from (opts.seed ^ start index, profile seed), so the walks
+        // are identical no matter which worker runs them, or whether a
+        // workload's walks step in lock-step or alone.
+        let start_opts: Vec<AnnealOptions> = (0..starts.len())
+            .map(|i| {
+                let mut opts = self.opts.anneal.clone();
+                opts.seed ^= (i as u64) << 32;
+                opts
+            })
+            .collect();
+        let walks: Vec<WalkCell<'_>> = profiles
+            .iter()
+            .flat_map(|profile| {
+                starts
+                    .iter()
+                    .zip(&start_opts)
+                    .zip(0u32..)
+                    .map(move |((start, opts), tag)| WalkCell {
+                        profile,
+                        walk: Walk {
+                            start,
+                            opts,
+                            progress: ctx.observer().map(|sink| (sink, tag)),
+                        },
+                    })
+            })
+            .collect();
         let anneal_phase = xps_trace::span("explore.anneal");
-        let fan = ctx.run_fan(
-            self.opts.jobs,
-            "anneal",
-            profiles.len() * starts.len(),
-            |t| {
-                // The wire description of this walk: same profile,
-                // start, options (with the multi-start seed mixed in),
-                // and technology the local closure below uses, so a
-                // dispatched anneal is bit-identical. Remote walks skip
-                // the local progress observer — observation only.
-                let (p, i) = (&profiles[t / starts.len()], t % starts.len());
-                let mut opts = self.opts.anneal.clone();
-                opts.seed ^= (i as u64) << 32;
-                Some(crate::task::TaskSpec::anneal(
-                    p, &starts[i], &opts, &self.tech,
-                ))
-            },
-            |t| {
-                let (p, i) = (&profiles[t / starts.len()], t % starts.len());
-                let mut opts = self.opts.anneal.clone();
-                opts.seed ^= (i as u64) << 32;
-                let progress = ctx.observer().map(|sink| (sink, i as u32));
-                anneal(p, &starts[i], &opts, &self.tech, cache, progress)
-            },
-        )?;
+        let fan = ctx.run_walk_fan(self.opts.jobs, "anneal", &walks, &self.tech, cache)?;
         anneal_phase.end_with(|| xps_trace::attr("tasks", profiles.len() * starts.len()));
         merge_counts(&mut per_worker_tasks, &fan.per_worker);
         // Keep each workload's best start; `>=` keeps the *last* of
@@ -319,6 +325,7 @@ impl Campaign {
                             cache,
                             ctx.observer().map(|sink| (sink, 0)),
                         )
+                        .map_err(|e| e.to_string())
                     })?;
                     if let Ok(r) = reanneal {
                         if r.ipt > results[i].ipt {

@@ -216,7 +216,8 @@ mod tests {
         opts.eval_ops_early = 10_000;
         let cache = EvalCache::new();
         let grid = grid_search(&p, &GridSpec::default(), &opts, &tech, 1, &cache);
-        let annealed = anneal(&p, &DesignPoint::initial(), &opts, &tech, &cache, None);
+        let annealed =
+            anneal(&p, &DesignPoint::initial(), &opts, &tech, &cache, None).expect("anneals");
         assert!(
             annealed.ipt > grid.score * 0.9,
             "annealing ({}) must come close to the lattice optimum ({})",

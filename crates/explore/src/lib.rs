@@ -73,7 +73,7 @@ mod search;
 mod stats;
 mod task;
 
-pub use anneal::{anneal, score, AnnealOptions, AnnealResult, Objective};
+pub use anneal::{anneal, anneal_batch, score, AnnealOptions, AnnealResult, Objective, Walk};
 pub use cache::{CacheCounters, EvalCache};
 pub use error::{ExploreError, TaskError, TaskFailure};
 pub use explorer::{Campaign, CustomizedCore, ExplorationResult, ExploreOptions, ExploreStats};
@@ -82,7 +82,7 @@ pub use grid::{grid_search, GridResult, GridSpec};
 pub use journal::{fnv64, write_atomic, Journal, JournalError};
 pub use parallel::{merge_counts, resolve_jobs, run_parallel, ParallelRun};
 pub use point::DesignPoint;
-pub use recovery::{EvalCell, FanOutcome, RecoveryStats, RunContext, DEFAULT_RETRIES};
+pub use recovery::{EvalCell, FanOutcome, RecoveryStats, RunContext, WalkCell, DEFAULT_RETRIES};
 pub use search::{
     crossover, explorer_by_name, mutate, search, AnnealExplorer, CurvePoint, EvalBudget, Explorer,
     GeneticExplorer, Probe, SearchOptions, SearchOutcome, SurrogateExplorer, EXPLORER_NAMES,

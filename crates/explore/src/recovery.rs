@@ -21,16 +21,18 @@
 //! a resumed run asks for exactly the same keys in exactly the same
 //! order.
 
+use crate::anneal::{anneal, anneal_batch, AnnealResult, Walk};
 use crate::cache::EvalCache;
 use crate::error::{ExploreError, TaskError, TaskFailure};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::journal::{Journal, JournalError};
-use crate::parallel::{resolve_jobs, run_parallel, run_parallel_weighted};
+use crate::parallel::{resolve_jobs, run_parallel_weighted};
 use crate::task::{TaskDispatcher, TaskSpec};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use xps_cacti::Technology;
 use xps_trace::{with_recorder, ProgressEvent, ProgressSink, SpanRecorder, TraceSink};
 use xps_workload::WorkloadProfile;
 
@@ -72,6 +74,26 @@ pub struct FanOutcome<T> {
 /// salvaged or has run.
 type Slots<T> = Vec<Option<Result<T, TaskError>>>;
 
+/// Runs the items `unit` of a fan as one lock-step batch, recording
+/// the trace events of the `k`-th inside `in_item(k, ..)`, and returns
+/// each item's value in unit order — `None` for an item that must run
+/// alone instead.
+type BatchFn<'f, T> =
+    dyn Fn(&[usize], &mut dyn FnMut(usize, &mut dyn FnMut())) -> Vec<Option<T>> + Sync + 'f;
+
+/// Which items of a fan may share a lock-step batch, and how a batch
+/// runs.
+struct Batching<'f, T, G> {
+    /// Item `i`'s batch group (items with equal groups may share a
+    /// batch); `None` runs the item alone.
+    group: &'f dyn Fn(usize) -> Option<G>,
+    /// Cut each group into about one batch per worker (a row of
+    /// cells), instead of running it whole (a workload's walks).
+    split: bool,
+    /// Runs one batch.
+    run: &'f BatchFn<'f, T>,
+}
+
 /// One cell of an evaluation fan ([`RunContext::run_eval_fan`]): the
 /// IPT of `config` on `profile` over `ops` micro-ops.
 #[derive(Debug, Clone, Copy)]
@@ -82,6 +104,16 @@ pub struct EvalCell<'a> {
     pub config: &'a xps_sim::CoreConfig,
     /// Trace length in micro-ops.
     pub ops: u64,
+}
+
+/// One walk of an annealing fan ([`RunContext::run_walk_fan`]).
+#[derive(Debug, Clone, Copy)]
+pub struct WalkCell<'a> {
+    /// The workload.
+    pub profile: &'a WorkloadProfile,
+    /// The walk: its start, its options (multi-start seed included)
+    /// and its progress sink.
+    pub walk: Walk<'a>,
 }
 
 /// Crash-safety context threaded through an exploration run: the
@@ -302,14 +334,14 @@ impl RunContext {
         F: Fn(usize) -> T + Sync,
         D: Fn(usize) -> Option<TaskSpec> + Sync,
     {
-        let (key_of, mut slots, missing) = self.open_fan(label, n)?;
-        let run = run_parallel(jobs, missing.len(), |k| {
-            self.run_item(&key_of(missing[k]), missing[k], &describe, &f)
-        });
-        for (k, result) in run.results.into_iter().enumerate() {
-            slots[missing[k]] = Some(result);
-        }
-        self.close_fan(slots, run.per_worker)
+        self.run_units(
+            jobs,
+            label,
+            n,
+            &describe,
+            &|i| Ok(f(i)),
+            None::<Batching<'_, T, ()>>,
+        )
     }
 
     /// A fan of IPT measurements, one item per cell: a `None`
@@ -342,21 +374,113 @@ impl RunContext {
         cache: &EvalCache,
     ) -> Result<FanOutcome<Option<f64>>, ExploreError> {
         let describe = |i: usize| cells[i].map(|c| TaskSpec::eval(c.profile, c.config, c.ops));
-        let single = |i: usize| cells[i].map(|c| cache.ipt(c.profile, c.config, c.ops));
-        let (key_of, mut slots, missing) = self.open_fan(label, cells.len())?;
-        let units = self.plan_batches(jobs, cells, &missing, &key_of);
+        let single = |i: usize| Ok(cells[i].map(|c| cache.ipt(c.profile, c.config, c.ops)));
+        let run = |unit: &[usize], in_cell: &mut dyn FnMut(usize, &mut dyn FnMut())| {
+            let batch: Vec<EvalCell<'_>> = unit.iter().filter_map(|&i| cells[i]).collect();
+            let configs: Vec<&xps_sim::CoreConfig> = batch.iter().map(|c| c.config).collect();
+            cache
+                .stats_batch(batch[0].profile, &configs, batch[0].ops, in_cell)
+                .iter()
+                .map(|stats| Some(Some(stats.ipt())))
+                .collect()
+        };
+        let batching = Batching {
+            group: &|i: usize| cells[i].map(|c| (c.profile, c.ops)),
+            split: true,
+            run: &run,
+        };
+        self.run_units(jobs, label, cells.len(), &describe, &single, Some(batching))
+    }
+
+    /// A fan of annealing walks, one item per walk, each realized
+    /// against `tech` through `cache`. Item for item this is the
+    /// [`run_fan`](RunContext::run_fan) fan of `TaskSpec::anneal`
+    /// descriptions over [`anneal`] closures — same journal keys and
+    /// records, dispatch, fault-injection attempts, retries, per-walk
+    /// trace tracks and progress events — but the walks that run
+    /// locally are grouped by workload, and each group runs whole as
+    /// one [`anneal_batch`], so every iteration's candidates share one
+    /// trace.
+    ///
+    /// A walk runs alone when a dispatcher is attached, when the fault
+    /// plan injects into its first attempt, when its start cannot be
+    /// realized, or when its group panics (every walk of the group then
+    /// re-runs on its own, starting from its first attempt).
+    ///
+    /// # Errors
+    ///
+    /// As [`run_fan`](RunContext::run_fan): only journal problems.
+    pub fn run_walk_fan(
+        &self,
+        jobs: usize,
+        label: &str,
+        walks: &[WalkCell<'_>],
+        tech: &Technology,
+        cache: &EvalCache,
+    ) -> Result<FanOutcome<AnnealResult>, ExploreError> {
+        let describe = |i: usize| {
+            let WalkCell { profile, walk } = walks[i];
+            Some(TaskSpec::anneal(profile, walk.start, walk.opts, tech))
+        };
+        let single = |i: usize| {
+            let WalkCell { profile, walk } = walks[i];
+            anneal(profile, walk.start, walk.opts, tech, cache, walk.progress)
+                .map_err(|e| e.to_string())
+        };
+        let run = |unit: &[usize], in_walk: &mut dyn FnMut(usize, &mut dyn FnMut())| {
+            let batch: Vec<Walk<'_>> = unit.iter().map(|&i| walks[i].walk).collect();
+            anneal_batch(walks[unit[0]].profile, &batch, tech, cache, in_walk)
+                .into_iter()
+                .map(Result::ok)
+                .collect()
+        };
+        let batching = Batching {
+            group: &|i: usize| Some(walks[i].profile),
+            split: false,
+            run: &run,
+        };
+        self.run_units(jobs, label, walks.len(), &describe, &single, Some(batching))
+    }
+
+    /// The fan runner behind every public fan: open the fan, plan its
+    /// missing items into units (lock-step batches under `batching`,
+    /// single items otherwise), run the units on `jobs` workers, and
+    /// close the fan. A unit whose batch does not run — or an item the
+    /// batch leaves out — runs item by item through
+    /// [`run_item`](RunContext::run_item).
+    fn run_units<T, G: PartialEq>(
+        &self,
+        jobs: usize,
+        label: &str,
+        n: usize,
+        describe: &(dyn Fn(usize) -> Option<TaskSpec> + Sync),
+        single: &(dyn Fn(usize) -> Result<T, String> + Sync),
+        batching: Option<Batching<'_, T, G>>,
+    ) -> Result<FanOutcome<T>, ExploreError>
+    where
+        T: Send + Serialize + Deserialize,
+    {
+        let (key_of, mut slots, missing) = self.open_fan(label, n)?;
+        let units = self.plan_units(jobs, &missing, &key_of, batching.as_ref());
+        let batch = batching.map(|b| b.run);
         let run = run_parallel_weighted(
             jobs,
             units.len(),
             |u| units[u].len() as u64,
             |u| {
                 let unit = &units[u];
-                self.run_batch(unit, cells, &key_of, cache)
-                    .unwrap_or_else(|| {
-                        unit.iter()
-                            .map(|&i| self.run_item(&key_of(i), i, &describe, &single))
-                            .collect()
+                let mut batched = batch
+                    .and_then(|run| self.run_batch(unit, &key_of, run))
+                    .unwrap_or_default()
+                    .into_iter();
+                unit.iter()
+                    .map(|&i| {
+                        batched
+                            .next()
+                            .flatten()
+                            .unwrap_or_else(|| self.run_item(&key_of(i), i, describe, single))
                     })
+                    .collect::<Vec<_>>()
             },
         );
         for (unit, results) in units.iter().zip(run.results) {
@@ -367,43 +491,44 @@ impl RunContext {
         self.close_fan(slots, run.per_worker)
     }
 
-    /// Partition the `missing` cells of an evaluation fan into units of
-    /// work, in cell order: lock-step batches of cells that share a
-    /// workload and trace length, and single cells (see
-    /// [`run_eval_fan`](RunContext::run_eval_fan) for which run alone).
-    /// A group of `g` batchable cells is split into `min(workers, g)`
-    /// near-equal batches, so one long row still occupies every worker.
-    fn plan_batches(
+    /// Partition the `missing` items of a fan into units of work, in
+    /// item order: lock-step batches of items in one `batching` group,
+    /// and single items — every item when there is no batching, and
+    /// any item a dispatcher may relocate or the fault plan injects
+    /// into on its first attempt. With `split`, a group of `g` items is
+    /// cut into `min(workers, g)` near-equal batches, so one long row
+    /// still occupies every worker.
+    fn plan_units<T, G: PartialEq>(
         &self,
         jobs: usize,
-        cells: &[Option<EvalCell<'_>>],
         missing: &[usize],
         key_of: &dyn Fn(usize) -> String,
+        batching: Option<&Batching<'_, T, G>>,
     ) -> Vec<Vec<usize>> {
         let mut units: Vec<Vec<usize>> = Vec::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut groups: Vec<(G, Vec<usize>)> = Vec::new();
         for &i in missing {
-            let batchable = cells[i].filter(|_| {
+            let group = batching.and_then(|b| (b.group)(i)).filter(|_| {
                 self.dispatcher.is_none()
                     && self
                         .faults
                         .as_ref()
                         .is_none_or(|p| p.injects(&key_of(i), 0).is_none())
             });
-            let Some(cell) = batchable else {
+            let Some(group) = group else {
                 units.push(vec![i]);
                 continue;
             };
-            let group = groups.iter_mut().find(|g| {
-                cells[g[0]].is_some_and(|c| c.ops == cell.ops && c.profile == cell.profile)
-            });
-            match group {
-                Some(g) => g.push(i),
-                None => groups.push(vec![i]),
+            match groups.iter_mut().find(|(g, _)| *g == group) {
+                Some((_, members)) => members.push(i),
+                None => groups.push((group, vec![i])),
             }
         }
-        let workers = resolve_jobs(jobs);
-        for group in groups {
+        let workers = match batching {
+            Some(b) if b.split => resolve_jobs(jobs),
+            _ => 1,
+        };
+        for (_, group) in groups {
             let size = group.len().div_ceil(workers.min(group.len()));
             units.extend(group.chunks(size).map(<[usize]>::to_vec));
         }
@@ -412,56 +537,57 @@ impl RunContext {
     }
 
     /// Run one planned unit as a single lock-step batch, with each
-    /// cell's bookkeeping — executed count, trace track, journal
+    /// item's bookkeeping — executed count, trace track, journal
     /// record, progress event — exactly as a successful first attempt
-    /// of that cell would leave it. Returns `None` without side effects
-    /// on the run's outcome (a single cell, a cancelled run, or a
-    /// panicking batch), and the caller then runs the unit cell by
-    /// cell.
-    fn run_batch(
+    /// of that item would leave it. Returns `None` without side effects
+    /// on the run's outcome (a single item, a cancelled run, or a
+    /// panicking batch), and the caller then runs the unit item by
+    /// item; an item the batch returns `None` for is left to the caller
+    /// the same way.
+    fn run_batch<T: Serialize>(
         &self,
         unit: &[usize],
-        cells: &[Option<EvalCell<'_>>],
         key_of: &dyn Fn(usize) -> String,
-        cache: &EvalCache,
-    ) -> Option<Vec<Result<Option<f64>, TaskError>>> {
+        run: &BatchFn<'_, T>,
+    ) -> Option<Vec<Option<Result<T, TaskError>>>> {
         if unit.len() < 2 || self.cancelled() {
             return None;
         }
-        let batch: Vec<EvalCell<'_>> = unit.iter().map(|&i| cells[i]).collect::<Option<_>>()?;
-        let configs: Vec<&xps_sim::CoreConfig> = batch.iter().map(|c| c.config).collect();
         let mut tracks: Vec<Option<SpanRecorder>> = unit
             .iter()
             .map(|_| self.trace.as_ref().map(TraceSink::recorder))
             .collect();
-        // Cells are pure functions of their inputs: nothing observes a
-        // half-updated state after an unwind (the per-cell re-run
+        // Items are pure functions of their inputs: nothing observes a
+        // half-updated state after an unwind (the per-item re-run
         // starts afresh), so AssertUnwindSafe is sound here.
-        let stats = catch_unwind(AssertUnwindSafe(|| {
-            cache.stats_batch(
-                batch[0].profile,
-                &configs,
-                batch[0].ops,
-                &mut |k, f| match tracks[k].take() {
+        let mut batch = || {
+            catch_unwind(AssertUnwindSafe(|| {
+                run(unit, &mut |k, f| match tracks[k].take() {
                     Some(rec) => tracks[k] = Some(with_recorder(rec, f).0),
                     None => f(),
-                },
-            )
-        }))
-        .ok()?;
+                })
+            }))
+        };
+        // A traced batch runs under a throwaway recorder, so an event left
+        // outside every item's track (a span guard dropped by an
+        // unwind) reaches no caller track.
+        let values = match self.trace {
+            Some(_) => with_recorder(SpanRecorder::new(), batch).1,
+            None => batch(),
+        };
         let results = unit
             .iter()
-            .zip(stats)
+            .zip(values.ok()?)
             .zip(tracks)
-            .map(|((&i, stats), track)| {
+            .map(|((&i, value), track)| {
                 let key = key_of(i);
+                let result = Ok(value?);
                 self.executed.fetch_add(1, Ordering::Relaxed);
                 if let (Some(trace), Some(rec)) = (&self.trace, track) {
                     trace.attach(&key, rec);
                 }
-                let result = Ok(Some(stats.ipt()));
                 self.record(key, &result);
-                result
+                Some(result)
             })
             .collect();
         Some(results)
@@ -520,12 +646,13 @@ impl RunContext {
 
     /// Run one fan item — remotely when a dispatcher takes it, locally
     /// otherwise — and record its outcome.
-    fn run_item<T, F, D>(&self, key: &str, i: usize, describe: &D, f: &F) -> Result<T, TaskError>
-    where
-        T: Serialize + Deserialize,
-        F: Fn(usize) -> T,
-        D: Fn(usize) -> Option<TaskSpec>,
-    {
+    fn run_item<T: Serialize + Deserialize>(
+        &self,
+        key: &str,
+        i: usize,
+        describe: &dyn Fn(usize) -> Option<TaskSpec>,
+        f: &dyn Fn(usize) -> Result<T, String>,
+    ) -> Result<T, TaskError> {
         let result = match self.dispatch_remote(key, i, describe) {
             Some(value) => Ok(value),
             None => self.run_local(key, i, f),
@@ -592,7 +719,9 @@ impl RunContext {
 
     /// [`run_fan`](RunContext::run_fan) for a single inline task (the
     /// re-anneal after a cross-seeding adoption), with its wire
-    /// description so an attached dispatcher can relocate it too.
+    /// description so an attached dispatcher can relocate it too. An
+    /// `Err` from `f` fails the attempt like an injected error: it is
+    /// retried, and reported once every attempt failed.
     ///
     /// # Errors
     ///
@@ -605,9 +734,17 @@ impl RunContext {
     ) -> Result<Result<T, TaskError>, ExploreError>
     where
         T: Send + Serialize + Deserialize,
-        F: Fn() -> T + Sync,
+        F: Fn() -> Result<T, String> + Sync,
     {
-        let mut fan = self.run_fan(1, label, 1, |_| Some(spec.clone()), |_| f())?;
+        let describe = |_| Some(spec.clone());
+        let mut fan = self.run_units(
+            1,
+            label,
+            1,
+            &describe,
+            &|_| f(),
+            None::<Batching<'_, T, ()>>,
+        )?;
         // xps-allow(no-unwrap-in-lib): run_fan(1, ..) returns exactly one item on success
         Ok(fan.items.pop().expect("one item"))
     }
@@ -617,11 +754,12 @@ impl RunContext {
     /// cancelled run, a declined dispatch, or a response body that
     /// does not decode as the item type — yields `None`, and the item
     /// runs locally instead.
-    fn dispatch_remote<T, D>(&self, key: &str, i: usize, describe: &D) -> Option<T>
-    where
-        T: Deserialize,
-        D: Fn(usize) -> Option<TaskSpec>,
-    {
+    fn dispatch_remote<T: Deserialize>(
+        &self,
+        key: &str,
+        i: usize,
+        describe: &dyn Fn(usize) -> Option<TaskSpec>,
+    ) -> Option<T> {
         let dispatcher = self.dispatcher.as_ref()?;
         if self.cancelled() {
             return None;
@@ -642,10 +780,12 @@ impl RunContext {
 
     /// Run one fan item on this machine, recording its spans when a
     /// trace sink is attached.
-    fn run_local<T, F>(&self, key: &str, i: usize, f: &F) -> Result<T, TaskError>
-    where
-        F: Fn(usize) -> T,
-    {
+    fn run_local<T>(
+        &self,
+        key: &str,
+        i: usize,
+        f: &dyn Fn(usize) -> Result<T, String>,
+    ) -> Result<T, TaskError> {
         match &self.trace {
             Some(trace) => {
                 // Record the task into a private recorder whose
@@ -663,8 +803,8 @@ impl RunContext {
     }
 
     /// Run one task with fault injection, panic isolation, and
-    /// retries.
-    fn attempt<T>(&self, key: &str, f: impl Fn() -> T) -> Result<T, TaskError> {
+    /// retries. A panic or an `Err` from `f` fails the attempt.
+    fn attempt<T>(&self, key: &str, f: impl Fn() -> Result<T, String>) -> Result<T, TaskError> {
         let max_attempts = self.retries.saturating_add(1);
         let mut failure = TaskFailure::Failed("no attempts made".into());
         for attempt in 0..max_attempts {
@@ -699,10 +839,11 @@ impl RunContext {
                 f()
             }));
             match outcome {
-                Ok(value) => {
+                Ok(Ok(value)) => {
                     self.executed.fetch_add(1, Ordering::Relaxed);
                     return Ok(value);
                 }
+                Ok(Err(msg)) => failure = TaskFailure::Failed(msg),
                 Err(payload) => failure = TaskFailure::Panicked(panic_message(payload.as_ref())),
             }
         }
@@ -1043,21 +1184,21 @@ mod tests {
     fn fan_sequence_distinguishes_same_label() {
         let ctx = RunContext::new();
         let a = ctx
-            .run_task("x", eval_spec(1), || 1u64)
+            .run_task("x", eval_spec(1), || Ok(1u64))
             .expect("fan")
             .expect("ok");
         let b = ctx
-            .run_task("x", eval_spec(1), || 2u64)
+            .run_task("x", eval_spec(1), || Ok(2u64))
             .expect("fan")
             .expect("ok");
         assert_eq!((a, b), (1, 2));
         // With a journal the two calls must land on distinct keys.
         let path = tmp("fan-seq");
         let ctx = RunContext::new().with_journal(Journal::create(&path).expect("create"));
-        ctx.run_task("x", eval_spec(1), || 1u64)
+        ctx.run_task("x", eval_spec(1), || Ok(1u64))
             .expect("fan")
             .expect("ok");
-        ctx.run_task("x", eval_spec(1), || 2u64)
+        ctx.run_task("x", eval_spec(1), || Ok(2u64))
             .expect("fan")
             .expect("ok");
         assert_eq!(ctx.journal().expect("journal").len(), 2);

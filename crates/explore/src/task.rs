@@ -177,10 +177,11 @@ impl TaskSpec {
     /// # Errors
     ///
     /// Returns a one-line description when the spec is incoherent
-    /// (missing payload for its kind), invalid (bad annealing
-    /// options), or would simulate more than [`MAX_TASK_OPS`].
-    /// Execution itself is infallible: the engine is total over
-    /// validated inputs.
+    /// (missing payload for its kind), invalid (bad annealing options
+    /// or start point), would simulate more than [`MAX_TASK_OPS`], or
+    /// anneals from a start that realizes no design under its
+    /// technology. Execution is otherwise infallible: the engine is
+    /// total over validated inputs.
     pub fn execute(&self, cache: &EvalCache) -> Result<String, String> {
         let bound = self.op_bound();
         if bound > MAX_TASK_OPS {
@@ -195,7 +196,9 @@ impl TaskSpec {
                     return Err("anneal task missing start/opts/tech".into());
                 };
                 opts.validate().map_err(|e| e.to_string())?;
-                let result = anneal(&self.profile, start, opts, tech, cache, None);
+                start.validate().map_err(|e| format!("anneal start: {e}"))?;
+                let result = anneal(&self.profile, start, opts, tech, cache, None)
+                    .map_err(|e| e.to_string())?;
                 // xps-allow(no-unwrap-in-lib): task results are plain data structs; serialization cannot fail
                 Ok(serde_json::to_string(&result).expect("task results serialize to JSON"))
             }
@@ -294,7 +297,7 @@ mod tests {
         let start = DesignPoint::initial();
         let t = TaskSpec::anneal(&gzip(), &start, &opts, &tech);
         let remote = t.execute(&cache).expect("executes");
-        let local = anneal(&gzip(), &start, &opts, &tech, &cache, None);
+        let local = anneal(&gzip(), &start, &opts, &tech, &cache, None).expect("anneals");
         let expected = serde_json::to_string(&local).expect("serializes");
         assert_eq!(remote, expected, "remote anneal is byte-identical");
     }
@@ -409,5 +412,22 @@ mod tests {
             &Technology::default(),
         );
         assert!(ok.op_bound() < MAX_TASK_OPS);
+    }
+
+    #[test]
+    fn hostile_anneal_starts_are_refused_before_simulating() {
+        let mut opts = AnnealOptions::quick();
+        opts.iterations = 2;
+        for clock_ns in [0.0, -1.0, 5.0, f64::NAN] {
+            let start = DesignPoint {
+                clock_ns,
+                ..DesignPoint::initial()
+            };
+            let t = TaskSpec::anneal(&gzip(), &start, &opts, &Technology::default());
+            let cache = EvalCache::new();
+            let err = t.execute(&cache).expect_err("invalid start");
+            assert!(err.contains("clock_ns"), "clock {clock_ns}: {err}");
+            assert!(cache.is_empty(), "clock {clock_ns}: nothing simulated");
+        }
     }
 }

@@ -2,9 +2,19 @@
 //! running the identical campaign on one worker and on four must
 //! produce byte-identical NDJSON, because tracks are keyed by task —
 //! not by thread or completion order — and logical clocks are
-//! per-task.
+//! per-task. The journal is also pinned byte for byte in
+//! `tests/golden/trace_quick.jsonl`, so a change that reorders one
+//! task's events fails even when every worker count agrees. After an
+//! intentional change to the trace, refresh it with
+//!
+//! ```text
+//! XPS_BLESS=1 cargo test -p xps-explore --test trace_determinism
+//! ```
+//!
+//! and review the diff like any other code change.
 
-use xps_explore::{Campaign, EvalCache, ExploreOptions, RunContext};
+use std::path::PathBuf;
+use xps_explore::{write_atomic, Campaign, EvalCache, ExploreOptions, RunContext};
 use xps_trace::{with_recorder, TraceSink};
 use xps_workload::spec;
 
@@ -64,4 +74,39 @@ fn trace_journal_is_stable_across_repeated_runs() {
     // order leak into the serialized events that the cross-jobs test
     // could miss if it leaked identically.
     assert_eq!(traced_run(2), traced_run(2));
+}
+
+#[test]
+fn trace_journal_matches_golden() {
+    let actual = traced_run(2);
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/trace_quick.jsonl");
+    if std::env::var("XPS_BLESS").as_deref() == Ok("1") {
+        write_atomic(&path, &actual).expect("bless golden trace");
+        eprintln!("[blessed {}]", path.display());
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden trace {} ({e}); bless it with XPS_BLESS=1",
+            path.display()
+        )
+    });
+    if let Some((i, (e, a))) = expected
+        .lines()
+        .zip(actual.lines())
+        .enumerate()
+        .find(|(_, (e, a))| e != a)
+    {
+        panic!(
+            "trace diverges from the golden at line {}:\n  golden: {e}\n  actual: {a}\n\
+             (bless intentionally with XPS_BLESS=1)",
+            i + 1
+        );
+    }
+    assert_eq!(
+        expected.len(),
+        actual.len(),
+        "trace length differs from the golden (bless intentionally with XPS_BLESS=1)"
+    );
 }

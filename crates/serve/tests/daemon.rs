@@ -377,6 +377,37 @@ fn over_bound_task_is_rejected_and_the_daemon_survives() {
 }
 
 #[test]
+fn hostile_anneal_start_is_rejected_and_the_daemon_survives() {
+    use xps_core::explore::{AnnealOptions, DesignPoint, TaskSpec};
+    let dir = data_dir("hostile-start");
+    let daemon = start(&dir);
+    let addr = daemon.addr.clone();
+    let gzip = xps_core::workload::spec::profile("gzip").expect("known benchmark");
+    // A zero clock never grows and a negative one runs to -inf under
+    // start relaxation; a 5 ns clock is past the realizable ceiling.
+    for clock_ns in [0.0, -1.0, 5.0] {
+        let start = DesignPoint {
+            clock_ns,
+            ..DesignPoint::initial()
+        };
+        let spec = TaskSpec::anneal(
+            &gzip,
+            &start,
+            &AnnealOptions::quick(),
+            &xps_core::cacti::Technology::default(),
+        );
+        let resp =
+            client::request(&addr, "POST", "/tasks", Some(&spec.canonical())).expect("responds");
+        assert_eq!(resp.status, 400, "clock {clock_ns}: {}", resp.body);
+        assert!(resp.body.contains("clock_ns"), "{}", resp.body);
+    }
+    let health = client::request(&addr, "GET", "/healthz", None).expect("still serving");
+    assert_eq!(health.status, 200);
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn queue_overflow_returns_429() {
     let dir = data_dir("backpressure");
     let mut config = ServerConfig::new(&dir);

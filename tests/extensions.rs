@@ -76,8 +76,9 @@ fn edp_objective_improves_edp() {
     let mut green = perf.clone();
     green.objective = Objective::InverseEnergyDelay;
     let cache = EvalCache::new();
-    let r_perf = anneal(&p, &DesignPoint::initial(), &perf, &tech, &cache, None);
-    let r_green = anneal(&p, &DesignPoint::initial(), &green, &tech, &cache, None);
+    let r_perf = anneal(&p, &DesignPoint::initial(), &perf, &tech, &cache, None).expect("anneals");
+    let r_green =
+        anneal(&p, &DesignPoint::initial(), &green, &tech, &cache, None).expect("anneals");
     let edp_of = |cfg: &CoreConfig| {
         let stats = Simulator::new(cfg).run(TraceGenerator::new(p.clone()), 40_000);
         energy_delay_product(&tech, cfg, &stats)
